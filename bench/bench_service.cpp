@@ -53,7 +53,6 @@ RunResult run_service_load(const Device& dev, const LoadFixture& fx,
   ServiceConfig cfg;
   cfg.queue_depth = rc.queue_depth;
   cfg.tenant_quota = rc.tenant_quota;
-  cfg.stream.overlap_verify = true;
   ReconfigService svc(dev, fx.base, rc.boards, cfg);
   PoissonLoadOptions opt;
   opt.requests = rc.requests;

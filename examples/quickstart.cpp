@@ -93,7 +93,7 @@ int main() {
   SimBoard board(dev);
   board.send_config(base_bit.words);
   tool.connect(&board);
-  tool.download(partial.partial);
+  tool.download(StreamSource::of(partial.partial.words));
 
   // Pad numbers from the base placement.
   int pad_d = 0, pad_nrz = 0;

@@ -62,11 +62,15 @@ class ConfigPort {
   // --- Statistics (benches, dynamic-safety tests) -----------------------------
   [[nodiscard]] std::uint64_t words_consumed() const { return words_consumed_; }
   [[nodiscard]] std::size_t frames_committed() const { return frames_committed_; }
-  /// Linear indices of every frame committed since the last reset_stats(),
-  /// in commit order (duplicates possible).
+  /// Linear indices of every frame committed since the last reset_stats()
+  /// or clear_committed_frames(), in commit order (duplicates possible).
   [[nodiscard]] const std::vector<std::size_t>& committed_frames() const {
     return committed_frame_log_;
   }
+  /// Drops the committed-frame log only; the word and frame totals keep
+  /// counting. A long-lived consumer folds the log into its own summary
+  /// and clears it, so the log stays bounded by one stream's frames.
+  void clear_committed_frames() { committed_frame_log_.clear(); }
   void reset_stats();
 
   // --- Readback ---------------------------------------------------------------

@@ -59,7 +59,7 @@ void Jpg::write_onto_base(const PartialResult& update) {
   ConfigPort port(*base_);
   port.load(update.partial);
   if (connected()) {
-    download(update.partial);
+    download(StreamSource::of(update.partial.words));
   }
 }
 
@@ -67,33 +67,19 @@ Bitstream Jpg::full_bitstream() const {
   return generate_full_bitstream(*base_);
 }
 
-void Jpg::download(const Bitstream& bs) {
-  JPG_REQUIRE(connected(), "no XHWIF board connected");
-  board_->send_config(bs.words);
-}
-
 void Jpg::download(const StreamSource& source, const StreamOptions& opts) {
   JPG_REQUIRE(connected(), "no XHWIF board connected");
   stream_to_board(*board_, source, opts.burst_words);
 }
 
-DownloadReport Jpg::download_verified_stream(const StreamSource& source,
-                                             const DownloadPolicy& policy,
-                                             const StreamOptions& opts) {
-  JPG_REQUIRE(connected(), "no XHWIF board connected");
-  VerifiedDownloader dl(*board_, *device_, policy);
-  dl.assume_board_state(*base_);
-  return dl.download_stream(source, opts);
-}
-
-DownloadReport Jpg::download_verified(const PartialResult& update,
+DownloadReport Jpg::download_verified(const StreamSource& source,
                                       const DownloadPolicy& policy) {
   JPG_REQUIRE(connected(), "no XHWIF board connected");
   VerifiedDownloader dl(*board_, *device_, policy);
   // The tool's model of the board is the base design it was initialised
   // from (option 2's premise); seed the downloader's mirror with it.
   dl.assume_board_state(*base_);
-  return dl.download_partial(update.partial);
+  return dl.download(source);
 }
 
 std::size_t Jpg::verify_via_readback(const PartialResult& update) {

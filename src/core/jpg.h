@@ -62,31 +62,24 @@ class Jpg {
   // --- Board attachment (XHWIF) ------------------------------------------------
   void connect(Xhwif* board) { board_ = board; }
   [[nodiscard]] bool connected() const { return board_ != nullptr; }
-  void download(const Bitstream& bs);
 
-  /// Fire-and-forget streaming download: pushes the scatter-gather source
-  /// to the board in bounded bursts straight from the caller's segments
-  /// (a resident pbit lease streams the cache's own words — zero copies).
+  /// Fire-and-forget download: pushes the scatter-gather source to the
+  /// board in bounded bursts straight from the caller's segments (a
+  /// resident pbit lease streams the cache's own words — zero copies; a
+  /// Bitstream goes in as StreamSource::of(bs.words)).
   void download(const StreamSource& source, const StreamOptions& opts = {});
 
   /// Fault-tolerant variant of download + verify_via_readback: sends the
   /// update through a VerifiedDownloader seeded with the tool's base plane
   /// (JPG's model: the board holds the base design; partial streams are
   /// state-independent, so this also covers a board running another module
-  /// variant in the same region). The update is CRC-checked before the
-  /// first word is sent, readback-verified frame by frame, repaired under
-  /// the policy's retry budget, and rolled back to the base plane if it
-  /// will not converge. The tool's base configuration is not modified.
+  /// variant in the same region). The update is replayed and CRC-checked
+  /// before the first word is sent, streamed in bursts, readback-verified
+  /// frame by frame, repaired under the policy's retry budget, and rolled
+  /// back to the base plane if it will not converge. The tool's base
+  /// configuration is not modified.
   [[nodiscard]] DownloadReport download_verified(
-      const PartialResult& update, const DownloadPolicy& policy = {});
-
-  /// Streaming variant of download_verified: same mirror seeding and
-  /// two-state outcome, but the stream goes out in bursts with the
-  /// tool-side replay pipelined one burst ahead of the wire (overlapped on
-  /// a pool thread under opts.overlap_verify).
-  [[nodiscard]] DownloadReport download_verified_stream(
-      const StreamSource& source, const DownloadPolicy& policy = {},
-      const StreamOptions& opts = {});
+      const StreamSource& source, const DownloadPolicy& policy = {});
 
   /// Reads the update's frames back from the connected board and compares
   /// them against what the partial bitstream was supposed to install.

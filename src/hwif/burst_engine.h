@@ -1,8 +1,8 @@
 // The burst engine: drives a StreamSource onto an XHWIF board in bounded
-// word bursts through Xhwif::send_config. This is the fire-and-forget
-// streaming path (the verified equivalent lives in VerifiedDownloader::
-// download_stream); both record the same cfg.* telemetry so the burst-size
-// distribution of any run is observable.
+// word bursts through Xhwif::send_config. It is the one send loop of the
+// tree: Jpg::download calls it fire-and-forget, and VerifiedDownloader::
+// download sends every update, repair and rollback stream through it, so
+// the cfg.burst_words histogram covers the burst sizes of any run.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,7 @@
 #include "hwif/sim_board.h"
 
+#include <algorithm>
+
 #include "cbits/cbits.h"
 
 #include "support/log.h"
@@ -7,14 +9,33 @@
 namespace jpg {
 
 SimBoard::SimBoard(const Device& device)
-    : device_(&device), memory_(device), port_(memory_) {}
+    : device_(&device),
+      memory_(device),
+      port_(memory_),
+      dirty_frames_(device.frames().num_frames(), 0) {}
 
 std::string SimBoard::board_name() const {
   return "simboard-" + device_->spec().name;
 }
 
 void SimBoard::send_config(std::span<const std::uint32_t> words) {
-  port_.load(words);
+  // Frames committed before a protocol error stay committed, so they are
+  // folded in on the error path too.
+  try {
+    port_.load(words);
+  } catch (...) {
+    absorb_committed_frames();
+    throw;
+  }
+  absorb_committed_frames();
+}
+
+void SimBoard::absorb_committed_frames() {
+  const auto& log = port_.committed_frames();
+  if (log.empty()) return;
+  for (const std::size_t frame : log) dirty_frames_[frame] = 1;
+  stale_ = true;
+  port_.clear_committed_frames();
 }
 
 void SimBoard::abort_config() { port_.abort(); }
@@ -41,25 +62,24 @@ void SimBoard::capture_state() {
 }
 
 void SimBoard::rebuild_if_stale() {
-  const auto& log = port_.committed_frames();
-  if (sim_ != nullptr && frames_seen_ == log.size()) return;
+  if (sim_ != nullptr && !stale_) return;
 
-  // Columns whose frames were (re)written since the last rebuild: their FFs
-  // restart at INIT; all other FFs carry their state across.
-  std::set<int> touched_cols;
+  std::set<int> dirty_cols;
   const FrameMap& fm = device_->frames();
-  for (std::size_t i = frames_seen_; i < log.size(); ++i) {
-    const FrameAddress a = fm.address_of_index(log[i]);
+  for (std::size_t f = 0; f < dirty_frames_.size(); ++f) {
+    if (dirty_frames_[f] == 0) continue;
+    const FrameAddress a = fm.address_of_index(f);
     if (fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb) {
-      touched_cols.insert(fm.clb_col_of_major(static_cast<int>(a.major)));
+      dirty_cols.insert(fm.clb_col_of_major(static_cast<int>(a.major)));
     }
   }
-  frames_seen_ = log.size();
+  std::fill(dirty_frames_.begin(), dirty_frames_.end(), 0);
+  stale_ = false;
 
   std::map<BitstreamSim::FfKey, bool> carried;
   if (sim_ != nullptr) {
     for (auto& [key, value] : sim_->capture_ff_state()) {
-      if (touched_cols.count(std::get<1>(key)) == 0) {
+      if (dirty_cols.count(std::get<1>(key)) == 0) {
         carried.emplace(key, value);
       }
     }

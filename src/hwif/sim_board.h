@@ -45,6 +45,7 @@ class SimBoard final : public Xhwif {
   // --- Simulation-side inspection ------------------------------------------
   [[nodiscard]] const Device& device() const { return *device_; }
   [[nodiscard]] const ConfigMemory& config() const { return memory_; }
+  [[nodiscard]] const ConfigPort& port() const { return port_; }
   [[nodiscard]] bool configured() const { return port_.started(); }
 
   /// Total configuration words ever clocked in (download-time metric).
@@ -68,12 +69,19 @@ class SimBoard final : public Xhwif {
 
  private:
   void rebuild_if_stale();
+  /// Folds the port's committed-frame log into dirty_frames_ and clears it.
+  void absorb_committed_frames();
 
   const Device* device_;
   ConfigMemory memory_;
   ConfigPort port_;
   std::unique_ptr<BitstreamSim> sim_;
-  std::size_t frames_seen_ = 0;  ///< committed-frame log cursor
+  /// Frames were committed since the last simulator rebuild.
+  bool stale_ = false;
+  /// Per linear frame index: rewritten since the last rebuild. The FFs of
+  /// CLB columns with a rewritten frame restart at INIT; every other FF
+  /// carries its state across the rebuild.
+  std::vector<char> dirty_frames_;
   std::map<std::string, bool> pin_state_;
   std::uint64_t cycles_ = 0;
   int rebuilds_ = 0;

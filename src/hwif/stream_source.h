@@ -38,11 +38,6 @@ struct StreamOptions {
   /// fixed: a burst never crosses a segment boundary, so segment tails are
   /// shorter than burst_words and stay zero-copy.
   std::size_t burst_words = kDefaultBurstWords;
-  /// Pipeline tool-side mirror validation one burst ahead of the transfer
-  /// (verify burst N+1 while burst N is on the wire). Validation still
-  /// completes before any word of a burst is sent, so the two-state
-  /// invariant of the verified downloader is unaffected.
-  bool overlap_verify = true;
 };
 
 /// An ordered list of borrowed word segments forming one configuration

@@ -1,16 +1,14 @@
 #include "hwif/verified_downloader.h"
 
 #include <algorithm>
-#include <future>
 #include <numeric>
 #include <sstream>
 
-#include "bitstream/bitstream_reader.h"
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_port.h"
+#include "hwif/burst_engine.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
-#include "support/thread_pool.h"
 
 namespace jpg {
 
@@ -112,20 +110,6 @@ const ConfigMemory& VerifiedDownloader::mirror() const {
   return *mirror_;
 }
 
-std::vector<std::size_t> VerifiedDownloader::touched_frames(
-    const Bitstream& stream) const {
-  const FrameMap& fm = device_->frames();
-  const BitstreamReader reader(stream);
-  std::vector<std::size_t> frames;
-  for (const auto& [far, count] : reader.far_blocks(fm.frame_words())) {
-    const std::size_t first = fm.frame_index_of(fm.decode_far(far));
-    for (std::size_t i = 0; i < count; ++i) frames.push_back(first + i);
-  }
-  std::sort(frames.begin(), frames.end());
-  frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
-  return frames;
-}
-
 Bitstream VerifiedDownloader::build_frames_stream(
     const ConfigMemory& target, const std::vector<std::size_t>& frames,
     bool ensure_started) const {
@@ -212,30 +196,35 @@ void VerifiedDownloader::backoff(int attempt) {
   board_->step_clock(policy_.backoff_cycles << shift);
 }
 
-bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
+bool VerifiedDownloader::converge(const StreamSource& source,
+                                  const ConfigMemory& target,
                                   std::vector<std::size_t> check, int budget,
-                                  bool ensure_started, int& attempts,
-                                  DownloadReport& rep) {
+                                  bool ensure_started, std::size_t burst_words,
+                                  int& attempts, DownloadReport& rep) {
   std::vector<std::size_t> sweep;
   if (policy_.full_sweep) {
     sweep.resize(device_->frames().num_frames());
     std::iota(sweep.begin(), sweep.end(), 0);
   }
+  StreamSource stream = source;
+  Bitstream repair;  // owns the words `stream` spans after the first round
   for (int attempt = 1; attempt <= budget; ++attempt) {
-    ++attempts;
-    if (attempt > 1) backoff(attempt);
-    try {
-      // ABORT first: a previous stream cut off mid-payload left the port
-      // waiting for FDRI words that would otherwise swallow this stream.
-      board_->abort_config();
-      ++aborts_;
-      board_->send_config(stream.words);
-      words_sent_ += stream.words.size();
-      JPG_COUNT("dl.words_sent", stream.words.size());
-    } catch (const JpgError& e) {
-      ++rep.faults_seen;
-      rep.fault_log.push_back(std::string("send: ") + e.what());
-      // Fall through: readback decides how much of the stream landed.
+    if (!stream.empty()) {
+      ++attempts;
+      if (attempt > 1) backoff(attempt);
+      try {
+        // ABORT first: a previous stream cut off mid-payload left the port
+        // waiting for FDRI words that would otherwise swallow this stream.
+        board_->abort_config();
+        ++aborts_;
+        const BurstStats sent = stream_to_board(*board_, stream, burst_words);
+        words_sent_ += sent.words;
+        JPG_COUNT("dl.words_sent", sent.words);
+      } catch (const JpgError& e) {
+        ++rep.faults_seen;
+        rep.fault_log.push_back(std::string("send: ") + e.what());
+        // Fall through: readback decides how much of the stream landed.
+      }
     }
     std::vector<std::size_t> bad = verify_against(target, check, rep);
     if (bad.empty() && policy_.full_sweep) {
@@ -248,7 +237,8 @@ bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
         // the startup epilogue.
         rep.fault_log.emplace_back(
             "frames verified but DONE low; resending startup");
-        stream = build_frames_stream(target, {}, true);
+        repair = build_frames_stream(target, {}, true);
+        stream = StreamSource::of(repair.words);
         check.clear();
         continue;
       }
@@ -257,7 +247,8 @@ bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
     rep.frames_repaired += bad.size();
     ++repair_rounds_;
     JPG_COUNT("dl.repair_rounds", 1);
-    stream = build_frames_stream(target, bad, ensure_started);
+    repair = build_frames_stream(target, bad, ensure_started);
+    stream = StreamSource::of(repair.words);
     check = std::move(bad);
   }
   return false;
@@ -329,267 +320,69 @@ AttestReport VerifiedDownloader::attest(const ConfigMemory& expected) {
 
 AttestReport VerifiedDownloader::attest() {
   JPG_REQUIRE(has_mirror(),
-              "no board mirror established; call download_full or "
-              "assume_board_state first");
+              "no board mirror established; download a full bitstream or "
+              "call assume_board_state first");
   return attest(*mirror_);
 }
 
-DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
-  JPG_SPAN("dl.download_full");
+DownloadReport VerifiedDownloader::download(const StreamSource& source,
+                                            const StreamOptions& opts) {
+  JPG_SPAN("dl.download");
   JPG_COUNT("dl.downloads", 1);
   const std::uint64_t telem_t0 = telemetry::now_ns();
   words_sent_ = readback_words_ = repair_rounds_ = aborts_ = 0;
-  DownloadReport rep;
-  auto plane = std::make_unique<ConfigMemory>(*device_);
-  std::vector<std::size_t> touched;
-  try {
-    ConfigPort port(*plane);
-    port.load(full);
-    if (!port.started()) {
-      throw BitstreamError("full bitstream does not start the device");
-    }
-    touched = touched_frames(full);
-  } catch (const JpgError& e) {
-    rep.error = std::string("stream rejected tool-side, nothing sent: ") +
-                e.what();
-    finish_report(rep, telem_t0);
-    return rep;
-  }
-  rep.frames_touched = touched.size();
-  if (converge(full, *plane, std::move(touched), policy_.max_attempts,
-               /*ensure_started=*/true, rep.attempts, rep)) {
-    rep.status = DownloadStatus::Success;
-    mirror_ = std::move(plane);
-  } else {
-    rep.error = "full download did not converge within the attempt budget";
-  }
-  finish_report(rep, telem_t0);
-  JPG_INFO(rep.summary());
-  return rep;
-}
-
-DownloadReport VerifiedDownloader::download_partial(const Bitstream& partial) {
-  JPG_SPAN("dl.download_partial");
-  JPG_COUNT("dl.downloads", 1);
-  const std::uint64_t telem_t0 = telemetry::now_ns();
-  words_sent_ = readback_words_ = repair_rounds_ = aborts_ = 0;
-  JPG_REQUIRE(has_mirror(),
-              "no board mirror established; call download_full or "
-              "assume_board_state first");
-  DownloadReport rep;
-  ConfigMemory target = *mirror_;
-  std::vector<std::size_t> touched;
-  try {
-    ConfigPort port(target);
-    port.load(partial);
-    touched = touched_frames(partial);
-  } catch (const JpgError& e) {
-    rep.error = std::string("stream rejected tool-side, nothing sent: ") +
-                e.what();
-    finish_report(rep, telem_t0);
-    return rep;
-  }
-  rep.frames_touched = touched.size();
-  if (converge(partial, target, touched, policy_.max_attempts,
-               /*ensure_started=*/false, rep.attempts, rep)) {
-    rep.status = DownloadStatus::Success;
-    *mirror_ = target;
-    finish_report(rep, telem_t0);
-    JPG_INFO(rep.summary());
-    return rep;
-  }
-  if (policy_.rollback) {
-    Bitstream rb = build_frames_stream(*mirror_, touched, false);
-    if (converge(std::move(rb), *mirror_, touched,
-                 policy_.rollback_max_attempts, /*ensure_started=*/false,
-                 rep.rollback_attempts, rep)) {
-      rep.status = DownloadStatus::RolledBack;
-      rep.error = "update did not converge; device rolled back to the "
-                  "pre-update plane";
-      finish_report(rep, telem_t0);
-      JPG_INFO(rep.summary());
-      return rep;
-    }
-    rep.error = "update did not converge and neither did the rollback; "
-                "board state unknown";
-  } else {
-    rep.error = "update did not converge and rollback is disabled";
-  }
-  finish_report(rep, telem_t0);
-  JPG_INFO(rep.summary());
-  return rep;
-}
-
-DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
-                                                   const StreamOptions& opts) {
-  JPG_SPAN("dl.download_stream");
-  JPG_COUNT("dl.downloads", 1);
-  const std::uint64_t telem_t0 = telemetry::now_ns();
-  words_sent_ = readback_words_ = repair_rounds_ = aborts_ = 0;
-  JPG_REQUIRE(has_mirror(),
-              "no board mirror established; call download_full or "
-              "assume_board_state first");
   JPG_REQUIRE(opts.burst_words > 0, "burst_words must be positive");
   DownloadReport rep;
-  ConfigMemory target = *mirror_;
-  ConfigPort port(target);  // tool-side replay, one burst ahead of the wire
 
-  BurstCursor validate(source);
-  BurstCursor send(source);
-
-  // Burst 0 replays before a single word goes out: a stream malformed at
-  // the head is rejected with the same guarantee as download_partial.
-  {
-    const std::span<const std::uint32_t> head = validate.next(opts.burst_words);
-    if (!head.empty()) {
-      try {
-        port.load(head);
-      } catch (const JpgError& e) {
-        rep.error = std::string("stream rejected tool-side, nothing sent: ") +
-                    e.what();
-        finish_report(rep, telem_t0);
-        return rep;
-      }
-      // ABORT first, as in converge(): a previous stream cut off
-      // mid-payload must not swallow this one. The streamed send is one
-      // attempt against the policy budget.
-      board_->abort_config();
-      ++aborts_;
-      ++rep.attempts;
-    }
+  // Replay the whole source before a single word goes out: the replayed
+  // plane is the update's intended state, and a stream malformed anywhere
+  // is rejected with the board untouched.
+  auto target = mirror_ != nullptr ? std::make_unique<ConfigMemory>(*mirror_)
+                                   : std::make_unique<ConfigMemory>(*device_);
+  std::vector<std::size_t> touched;
+  bool starts = false;
+  try {
+    ConfigPort port(*target);
+    for (const auto& segment : source.segments()) port.load(segment);
+    starts = port.started();
+    touched = port.committed_frames();
+  } catch (const JpgError& e) {
+    rep.error = std::string("stream rejected tool-side, nothing sent: ") +
+                e.what();
+    finish_report(rep, telem_t0);
+    return rep;
   }
-
-  bool send_failed = false;
-  bool mid_stream_reject = false;
-  std::uint64_t overlap_ns = 0;
-  while (true) {
-    const std::span<const std::uint32_t> burst = send.next(opts.burst_words);
-    if (burst.empty()) break;
-    // Burst k's replay already succeeded; launch burst k+1's replay so it
-    // runs while burst k is on the wire. The validate cursor stays exactly
-    // one burst ahead of the send cursor — the two-state invariant holds
-    // burst-wise: nothing unvalidated is ever sent.
-    const std::span<const std::uint32_t> ahead = validate.next(opts.burst_words);
-    std::future<void> ahead_done;
-    if (!ahead.empty() && opts.overlap_verify) {
-      ahead_done =
-          ThreadPool::global().submit([&port, ahead] { port.load(ahead); });
-    }
-    const std::uint64_t send_t0 = telemetry::now_ns();
-    bool sent_clean = false;
-    if (!send_failed) {
-      try {
-        JPG_HIST("cfg.burst_words", burst.size());
-        board_->send_config(burst);
-        words_sent_ += burst.size();
-        JPG_COUNT("dl.words_sent", burst.size());
-        sent_clean = true;
-      } catch (const JpgError& e) {
-        ++rep.faults_seen;
-        rep.fault_log.push_back(std::string("send: ") + e.what());
-        // Stop pushing words after a link fault, but let the replay finish:
-        // readback verification needs the complete intended plane.
-        send_failed = true;
-      }
-    }
-    const std::uint64_t send_t1 = telemetry::now_ns();
-    try {
-      if (ahead_done.valid()) {
-        ahead_done.get();
-        // The replay was in flight across the whole send window (submitted
-        // before it, joined after): credit the send duration as validation
-        // time hidden behind the transfer — but only when the burst really
-        // went out. After a send fault the window measures a skipped no-op
-        // (or the throw itself), and crediting those near-zero windows
-        // would skew cfg.stream_overlap_ns toward nothing.
-        if (sent_clean) overlap_ns += send_t1 - send_t0;
-      } else if (!ahead.empty()) {
-        port.load(ahead);
-      }
-    } catch (const JpgError& e) {
-      rep.error =
-          std::string("stream rejected tool-side mid-stream: ") + e.what();
-      mid_stream_reject = true;
-      break;
-    }
-  }
-  JPG_COUNT("cfg.stream_overlap_ns", overlap_ns);
-  rep.telemetry.set("stream_overlap_ns", overlap_ns);
-
-  // The replay port logged every frame it committed — a superset of what
-  // the board can have committed (the wire saw a validated prefix).
-  std::vector<std::size_t> touched(port.committed_frames().begin(),
-                                   port.committed_frames().end());
+  // Without a mirror only a stream that configures the whole device from
+  // scratch has a known intended plane; anything else is refused unsent.
+  JPG_REQUIRE(mirror_ != nullptr || starts,
+              "no board mirror established and the stream does not start "
+              "the device; download a full bitstream or call "
+              "assume_board_state first");
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   rep.frames_touched = touched.size();
 
-  if (mid_stream_reject) {
-    // Bursts already on the wire, but the stream's tail is malformed: there
-    // is no intended plane to converge to. Abandon the update and roll the
-    // committed superset back to the mirror.
-    if (policy_.rollback) {
-      Bitstream rb = build_frames_stream(*mirror_, touched, false);
-      if (converge(std::move(rb), *mirror_, std::move(touched),
-                   policy_.rollback_max_attempts, /*ensure_started=*/false,
-                   rep.rollback_attempts, rep)) {
-        rep.status = DownloadStatus::RolledBack;
-        rep.error += "; device rolled back to the pre-update plane";
-      } else {
-        rep.error += "; rollback did not converge; board state unknown";
-      }
-    } else {
-      rep.error += "; rollback disabled; board state unknown";
-    }
-    finish_report(rep, telem_t0);
-    JPG_INFO(rep.summary());
-    return rep;
-  }
-
-  // Fully replayed: `target` is the intended plane. Verify the touched
-  // frames (plus the sweep), then repair/rollback exactly as
-  // download_partial would with the remaining attempt budget.
-  std::vector<std::size_t> bad = verify_against(target, touched, rep);
-  if (bad.empty() && policy_.full_sweep) {
-    std::vector<std::size_t> sweep(device_->frames().num_frames());
-    std::iota(sweep.begin(), sweep.end(), 0);
-    bad = verify_against(target, sweep, rep);
-  }
-  bool converged;
-  if (bad.empty()) {
-    converged = true;
-  } else {
-    rep.frames_repaired += bad.size();
-    ++repair_rounds_;
-    JPG_COUNT("dl.repair_rounds", 1);
-    Bitstream repair = build_frames_stream(target, bad, false);
-    converged = converge(std::move(repair), target, std::move(bad),
-                         policy_.max_attempts - rep.attempts,
-                         /*ensure_started=*/false, rep.attempts, rep);
-  }
-  if (converged) {
+  if (converge(source, *target, touched, policy_.max_attempts, starts,
+               opts.burst_words, rep.attempts, rep)) {
     rep.status = DownloadStatus::Success;
-    *mirror_ = target;
-    finish_report(rep, telem_t0);
-    JPG_INFO(rep.summary());
-    return rep;
-  }
-  if (policy_.rollback) {
-    Bitstream rb = build_frames_stream(*mirror_, touched, false);
-    if (converge(std::move(rb), *mirror_, std::move(touched),
+    mirror_ = std::move(target);
+  } else if (mirror_ == nullptr) {
+    rep.error = "update did not converge and no mirror exists to roll "
+                "back to; board state unknown";
+  } else if (!policy_.rollback) {
+    rep.error = "update did not converge and rollback is disabled";
+  } else {
+    const Bitstream rb = build_frames_stream(*mirror_, touched, false);
+    if (converge(StreamSource::of(rb.words), *mirror_, std::move(touched),
                  policy_.rollback_max_attempts, /*ensure_started=*/false,
-                 rep.rollback_attempts, rep)) {
+                 opts.burst_words, rep.rollback_attempts, rep)) {
       rep.status = DownloadStatus::RolledBack;
       rep.error = "update did not converge; device rolled back to the "
                   "pre-update plane";
-      finish_report(rep, telem_t0);
-      JPG_INFO(rep.summary());
-      return rep;
+    } else {
+      rep.error = "update did not converge and neither did the rollback; "
+                  "board state unknown";
     }
-    rep.error = "update did not converge and neither did the rollback; "
-                "board state unknown";
-  } else {
-    rep.error = "update did not converge and rollback is disabled";
   }
   finish_report(rep, telem_t0);
   JPG_INFO(rep.summary());

@@ -6,12 +6,12 @@
 // *verified*: every stream is validated tool-side before a single word goes
 // out (framing + CRC replayed against a mirror of the board's plane), the
 // send is followed by a readback of exactly the frames the stream touches
-// (BitstreamReader::far_blocks) compared word-for-word against the intended
-// contents, and mismatched frames are rewritten by targeted repair streams
-// under a bounded retry budget. When the budget is spent the downloader
-// rolls the touched frames back to the pre-update plane, so the device is
-// always in one of exactly two states: the update applied and verified, or
-// the previous configuration — never half-written.
+// (the frames the tool-side replay committed) compared word-for-word
+// against the intended contents, and mismatched frames are rewritten by
+// targeted repair streams under a bounded retry budget. When the budget is
+// spent the downloader rolls the touched frames back to the pre-update
+// plane, so the device is always in one of exactly two states: the update
+// applied and verified, or the previous configuration — never half-written.
 //
 // The downloader keeps a tool-side mirror (the last plane it verified onto
 // the board); repair and rollback streams are generated from it, which is
@@ -124,30 +124,25 @@ class VerifiedDownloader {
   VerifiedDownloader(Xhwif& board, const Device& device,
                      const DownloadPolicy& policy = {});
 
-  /// Downloads a complete bitstream, establishing the mirror. Success
-  /// additionally requires the DONE pin — every frame can be correct while
-  /// a truncated stream dropped the START command.
-  DownloadReport download_full(const Bitstream& full);
-
-  /// Downloads a partial bitstream against the established mirror. The
-  /// stream is first replayed onto a copy of the mirror (tool-side framing
-  /// and CRC check — nothing is sent if it is malformed), then sent,
-  /// readback-verified, repaired, and on persistent failure rolled back.
-  DownloadReport download_partial(const Bitstream& partial);
-
-  /// Streaming (ICAP-style) partial download: the scatter-gather source is
-  /// sent in bounded bursts straight from the caller's segments — no
-  /// concatenated staging copy — while the tool-side mirror replay runs one
-  /// burst *ahead* of the wire (on a pool thread when
-  /// `opts.overlap_verify`), so validation cost hides behind transfer time.
-  /// The two-state invariant is preserved burst-wise: burst k goes out only
-  /// after bursts 0..k replayed cleanly; a burst rejected before anything
-  /// was sent reports the usual "nothing sent" error, one rejected
-  /// mid-stream aborts the wire and rolls the frames committed so far back
-  /// to the mirror. After the last burst the touched frames are
-  /// readback-verified and repaired exactly like download_partial.
-  DownloadReport download_stream(const StreamSource& source,
-                                 const StreamOptions& opts = {});
+  /// Downloads one configuration stream, verified: the single entry point
+  /// for full bitstreams, partials and scatter-gather sources alike (a
+  /// Bitstream goes in as StreamSource::of(bs.words)). Four steps:
+  ///  1. Replay the whole source tool-side onto a copy of the mirror (a
+  ///     blank plane when none exists yet). Framing, CRC, FLR and IDCODE
+  ///     are checked there, so a stream malformed anywhere is rejected with
+  ///     nothing sent.
+  ///  2. The frames the replay committed are the frames to verify.
+  ///  3. A replay that issued START must also raise DONE on the board —
+  ///     every frame can be right while a truncated send lost the START
+  ///     command. A stream that does not start the device needs an
+  ///     established mirror; without one the call throws.
+  ///  4. Send the source zero-copy in bursts of at most opts.burst_words,
+  ///     readback-verify the touched frames and sweep the plane for strays,
+  ///     repair mismatches under the policy's attempt budget, and on
+  ///     persistent failure roll the touched frames back to the mirror.
+  /// Success makes the replayed plane the new mirror.
+  DownloadReport download(const StreamSource& source,
+                          const StreamOptions& opts = {});
 
   /// Full-plane readback audit: reads back every frame of the device and
   /// compares it word-for-word against `expected`, masking FF capture bits
@@ -170,10 +165,6 @@ class VerifiedDownloader {
   [[nodiscard]] const ConfigMemory& mirror() const;
 
  private:
-  /// Sorted, deduplicated linear frame indices the stream writes.
-  [[nodiscard]] std::vector<std::size_t> touched_frames(
-      const Bitstream& stream) const;
-
   /// Emits a stream rewriting exactly `frames` (sorted) from `target`,
   /// optionally ending with a START command (full-download repairs).
   [[nodiscard]] Bitstream build_frames_stream(
@@ -187,11 +178,13 @@ class VerifiedDownloader {
       DownloadReport& rep);
 
   /// Drives the board until `check` (and, under full_sweep, the whole
-  /// plane) reads back identical to `target`: abort, send, verify, then
-  /// repair mismatches with targeted streams. True on convergence.
-  bool converge(Bitstream stream, const ConfigMemory& target,
+  /// plane) reads back identical to `target`: abort, send `source` in
+  /// bursts, verify, then repair mismatches with targeted streams. An empty
+  /// source sends nothing and only verifies. True on convergence.
+  bool converge(const StreamSource& source, const ConfigMemory& target,
                 std::vector<std::size_t> check, int budget,
-                bool ensure_started, int& attempts, DownloadReport& rep);
+                bool ensure_started, std::size_t burst_words, int& attempts,
+                DownloadReport& rep);
 
   void backoff(int attempt);
 
@@ -210,8 +203,8 @@ class VerifiedDownloader {
   std::vector<std::uint32_t> readback_scratch_;
   std::vector<std::uint32_t> expect_scratch_;
 
-  // Per-download tallies (reset at the top of download_full/download_partial;
-  // the downloader is single-threaded per instance, so plain integers do).
+  // Per-download tallies (reset at the top of download(); the downloader is
+  // single-threaded per instance, so plain integers do).
   mutable std::uint64_t words_sent_ = 0;
   mutable std::uint64_t readback_words_ = 0;
   mutable std::uint64_t repair_rounds_ = 0;

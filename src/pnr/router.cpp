@@ -691,6 +691,7 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
   }
   JPG_COUNT("pnr.route.runs", 1);
   JPG_COUNT("pnr.route.iterations", static_cast<std::uint64_t>(iter));
+  JPG_COUNT("pnr.route.spec_rounds", round_count);
   JPG_COUNT("pnr.route.spec_retries", retry_count);
   JPG_COUNT("pnr.route.nets_rerouted", reroutes);
   return routed;

@@ -299,7 +299,11 @@ bool ReconfigService::dispatch_one_round_locked() {
                                        cfg_.drr_quantum_words);
     }
   }
-  if (nt != 0) rr_cursor_ = (rr_cursor_ + 1) % nt;
+  // Only a round that dispatched something takes a turn. A round in which
+  // every head is blocked on a busy board would otherwise still move the
+  // cursor, and with a fixed number of rounds per completion the cursor
+  // parity can lock onto one tenant whenever spare inflight slots exist.
+  if (progress && nt != 0) rr_cursor_ = (rr_cursor_ + 1) % nt;
   return progress;
 }
 
@@ -350,7 +354,7 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
       BoardCtx& ctx = *boards_[static_cast<std::size_t>(board_idx)];
       // Zero-copy: the source spans the pinned cache entry's own words.
       const StreamSource src = StreamSource::of(resident->lease.words());
-      resp.report = ctx.downloader->download_stream(src, cfg_.stream);
+      resp.report = ctx.downloader->download(src, cfg_.stream);
       swap_words = resident->lease.words().size();
       if (resp.report.ok()) {
         JPG_COUNT("svc.swaps", 1);
@@ -639,17 +643,19 @@ DefragReport ReconfigService::defragment(std::size_t board) {
       const AppliedPbit& ap = applied.at(mv.key);
       // Move = relocate + verified download of the module at its new slot,
       // then a verified restore of the base at the vacated slot. Each step
-      // is a download_partial, so the two-state invariant covers the whole
+      // is a verified download, so the two-state invariant covers the whole
       // sequence: any failure leaves the board in a known configuration.
       const PartialGenResult moved = reloc.relocate(ap.pbit, mv.from, mv.to);
-      DownloadReport dl = ctx.downloader->download_partial(moved.bitstream);
+      DownloadReport dl = ctx.downloader->download(
+          StreamSource::of(moved.bitstream.words), cfg_.stream);
       if (!dl.ok()) {
         rep.ok = false;
         rep.error = "move to " + mv.to.to_string() + " failed: " + dl.error;
         break;
       }
       const PartialGenResult scrub = gen_.generate(*base_, mv.from);
-      dl = ctx.downloader->download_partial(scrub.bitstream);
+      dl = ctx.downloader->download(StreamSource::of(scrub.bitstream.words),
+                                    cfg_.stream);
       if (!dl.ok()) {
         rep.ok = false;
         rep.error = "scrub of " + mv.from.to_string() + " failed: " + dl.error;

@@ -14,7 +14,7 @@
 // The datapath reuses the existing backends end to end: pbits come from
 // PartialBitstreamGenerator::generate_leased (pinned, cache-resident — the
 // zero-copy path of DESIGN.md §5g), the wire is
-// VerifiedDownloader::download_stream (two-state invariant per swap), and
+// VerifiedDownloader::download (two-state invariant per swap), and
 // per-tenant quotas are layered *over* the content-addressed cache: each
 // tenant owns an LRU of resident leases; exceeding its quota releases the
 // tenant's least-recently-used lease (making the entry evictable again)
@@ -152,7 +152,7 @@ struct ServiceConfig {
   /// not call back into the service (it may run under no lock but inside
   /// submit()); keep it cheap, it is on the datapath.
   std::function<void(const ServiceResponse&)> on_complete;
-  StreamOptions stream;    ///< burst size / overlap of the swap datapath
+  StreamOptions stream;    ///< burst size of the swap datapath
   DownloadPolicy policy;   ///< per-board verified-download policy
 };
 

@@ -371,7 +371,7 @@ void oracle_impl(const GeneratedDesign& design, const OracleOptions& opt,
       // choices).
       const std::string& swapped = design.partitions[0].name;
       tool.connect(&board);
-      tool.download(swap_art[0]->partial.partial);
+      tool.download(StreamSource::of(swap_art[0]->partial.partial.words));
       const AssembledTop new_at = assemble_top(design, swap_choice);
       NetlistSim golden_new(new_at.top);
       for (CellId id = 0; id < new_at.top.num_cells(); ++id) {
@@ -422,8 +422,8 @@ void oracle_impl(const GeneratedDesign& design, const OracleOptions& opt,
       FaultyBoard faulty(board, prof, opt.fault_seed);
       Jpg ftool(base_bit);
       ftool.connect(&faulty);
-      const DownloadReport rep =
-          ftool.download_verified(swap_art[0]->partial);
+      const DownloadReport rep = ftool.download_verified(
+          StreamSource::of(swap_art[0]->partial.partial.words));
       if (rep.status != DownloadStatus::Success) {
         throw PropFail{"fault_download",
                        "verified download did not converge: " + rep.summary()};

@@ -153,8 +153,8 @@ TEST_F(AttestTest, OneFindingPerFrameAcrossMultipleStrays) {
 TEST_F(AttestTest, PostDownloadMutationIsCaughtAgainstTheMirror) {
   SimBoard board(*dev_);
   VerifiedDownloader dl(board, *dev_);
-  ASSERT_TRUE(dl.download_full(base_bit_).ok());
-  ASSERT_TRUE(dl.download_partial(pbit_).ok());
+  ASSERT_TRUE(dl.download(StreamSource::of(base_bit_.words)).ok());
+  ASSERT_TRUE(dl.download(StreamSource::of(pbit_.words)).ok());
   // Immediately after the verified download the device attests clean
   // against the downloader's own mirror...
   EXPECT_TRUE(dl.attest().attested);
@@ -271,7 +271,7 @@ TEST_F(AttestTest, TwoHundredScenarioFaultSweepAttestsClean) {
     FaultyBoard faulty(board, profile, 7000u + static_cast<std::uint64_t>(s));
     VerifiedDownloader dl(faulty, *dev_, policy);
     dl.assume_board_state(*base_plane_);
-    const DownloadReport rep = dl.download_partial(pbit_);
+    const DownloadReport rep = dl.download(StreamSource::of(pbit_.words));
     ASSERT_NE(rep.status, DownloadStatus::Failed)
         << "scenario " << s << ": " << rep.summary();
 

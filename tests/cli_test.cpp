@@ -261,11 +261,12 @@ TEST_F(CliTest, StatsEmitsMetricsAndChromeTrace) {
   // cross-stage counters and the named spans.
   for (const char* name :
        {"pgen.cache.hits", "pgen.cache.misses", "pnr.route.astar_pops",
+        "pnr.route.spec_rounds",
         "dl.downloads", "dl.words_sent", "port.frames_committed"}) {
     EXPECT_NE(metrics.find(name), std::string::npos) << name;
   }
   for (const char* span : {"flow.base", "pnr.route", "pgen.generate",
-                           "bitgen.full", "dl.download_partial"}) {
+                           "bitgen.full", "dl.download"}) {
     EXPECT_NE(trace.find(span), std::string::npos) << span;
   }
 #endif

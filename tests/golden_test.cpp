@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,6 +60,12 @@ struct GoldenCase {
     return Region{0, c0, dev.rows() - 1, c0 + 3};
   }
 };
+
+// Without this, gtest lists the parameter as a raw byte dump that holds
+// the string's heap pointer, so the discovered ctest name changes per run.
+void PrintTo(const GoldenCase& gc, std::ostream* os) {
+  *os << gc.part << " seed " << gc.seed;
+}
 
 const std::vector<GoldenCase>& cases() {
   static const std::vector<GoldenCase> kCases = {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bitstream/bitgen.h"
+#include "bitstream/bitstream_writer.h"
 #include "hwif/sim_board.h"
 #include "netlib/generators.h"
 #include "pnr/flow.h"
@@ -195,6 +196,41 @@ TEST_F(SimBoardTest, AbortConfigUnsticksTruncatedStream) {
   EXPECT_TRUE(board.config_done());
   board.step_clock(1);
   EXPECT_TRUE(board.get_pin(pads_.at("q0")));
+}
+
+TEST_F(SimBoardTest, CommittedFrameLogStaysBoundedAcrossSends) {
+  SimBoard board(*dev_);
+  board.send_config(bit_.words);
+  board.step_clock(1);
+
+  // A partial rewriting kFrames frames with the contents they already hold.
+  constexpr std::size_t kFrames = 3;
+  const FrameMap& fm = dev_->frames();
+  const std::size_t first = fm.frame_index(2, 0);
+  BitstreamWriter w(*dev_);
+  w.begin();
+  w.write_cmd(Command::RCRC);
+  w.write_reg(ConfigReg::FLR, static_cast<std::uint32_t>(fm.frame_words() - 1));
+  w.write_reg(ConfigReg::IDCODE, dev_->spec().idcode);
+  w.write_cmd(Command::WCFG);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(first)));
+  w.write_frames(board.config(), first, kFrames);
+  w.write_crc();
+  w.write_cmd(Command::LFRM);
+  const Bitstream partial = w.finish();
+
+  // Each send's committed frames are folded into the board's dirty-column
+  // summary, so the log never holds more than one stream's frames however
+  // long the board lives, while the word total keeps counting.
+  for (int i = 0; i < 1000; ++i) {
+    board.send_config(partial.words);
+    ASSERT_LE(board.port().committed_frames().size(), kFrames) << "send " << i;
+  }
+  EXPECT_EQ(board.config_words(),
+            bit_.words.size() + 1000 * partial.words.size());
+  const int rebuilds = board.rebuilds();
+  board.step_clock(1);  // the folded frames still make the circuit stale
+  EXPECT_EQ(board.rebuilds(), rebuilds + 1);
 }
 
 TEST(Xhwif, PolymorphicUse) {

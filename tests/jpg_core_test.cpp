@@ -302,7 +302,7 @@ TEST_F(JpgEndToEnd, DynamicReconfigurationPreservesStaticState) {
   Jpg tool(base_bit_);
   const auto res = tool.generate_partial_from_text(xdl, ucf);
   tool.connect(&board);
-  tool.download(res.partial);
+  tool.download(StreamSource::of(res.partial.words));
 
   // Static state survived the partial load...
   EXPECT_EQ(heartbeat(), 9);

@@ -3,6 +3,8 @@
 // check cycle-exact equivalence against the golden netlist simulation.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "netlib/generators.h"
 #include "pnr/flow.h"
 #include "pnr/timing.h"
@@ -48,6 +50,12 @@ struct FlowCase {
   const char* generator;
   int param;
 };
+
+// Without this, gtest lists the parameter as a raw byte dump that holds
+// the string pointers, so the discovered ctest name changes per run.
+void PrintTo(const FlowCase& fc, std::ostream* os) {
+  *os << fc.part << ' ' << fc.generator << ' ' << fc.param;
+}
 
 class FullFlow : public ::testing::TestWithParam<FlowCase> {};
 

@@ -53,9 +53,7 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, ConcurrentSwapsConvergeToExpectedPlanes) {
-  ServiceConfig cfg;
-  cfg.stream.overlap_verify = true;  // overlap submits nest into the pool
-  ReconfigService svc(*dev_, fx_->base, 2, cfg);
+  ReconfigService svc(*dev_, fx_->base, 2, {});
 
   // One tenant per board: a tenant's queue is FIFO and a board serialises
   // its swaps, so each board's final plane is the ordered composition.
@@ -163,37 +161,45 @@ TEST_F(ServiceTest, TenantsShareResidentLeases) {
 }
 
 TEST_F(ServiceTest, DeficitRoundRobinDoesNotStarveSmallTenants) {
-  ServiceConfig cfg;
-  cfg.start_paused = true;
-  cfg.drr_quantum_words = 1u << 24;  // quantum >> cost: pure round-robin
-  ReconfigService svc(*dev_, fx_->base, 1, cfg);
+  // Fairness must not depend on how many swaps may be in flight: 0 is the
+  // pool width, and every value above 1 leaves inflight slots spare while
+  // the one board is busy.
+  for (const std::size_t max_inflight : {0u, 1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("max_inflight=" + std::to_string(max_inflight));
+    ServiceConfig cfg;
+    cfg.start_paused = true;
+    cfg.max_inflight = max_inflight;
+    cfg.drr_quantum_words = 1u << 24;  // quantum >> cost: pure round-robin
+    ReconfigService svc(*dev_, fx_->base, 1, cfg);
 
-  // Tenant "flood" stages 8 swaps before "small" stages 2. FIFO-by-arrival
-  // would dispatch small's at seq 8 and 9; DRR must interleave them early.
-  std::vector<std::future<ServiceResponse>> flood;
-  std::vector<std::future<ServiceResponse>> small;
-  for (int i = 0; i < 8; ++i) {
-    flood.push_back(svc.submit(fx_->request(0, 0, "flood")));
+    // Tenant "flood" stages 8 swaps before "small" stages 2. FIFO-by-arrival
+    // would dispatch small's at seq 8 and 9; DRR must interleave them early.
+    std::vector<std::future<ServiceResponse>> flood;
+    std::vector<std::future<ServiceResponse>> small;
+    for (int i = 0; i < 8; ++i) {
+      flood.push_back(svc.submit(fx_->request(0, 0, "flood")));
+    }
+    for (int i = 0; i < 2; ++i) {
+      small.push_back(svc.submit(fx_->request(1, 1, "small")));
+    }
+    svc.resume();
+    std::uint64_t flood_max = 0;
+    std::uint64_t small_max = 0;
+    for (auto& f : flood) {
+      const ServiceResponse r = f.get();
+      ASSERT_TRUE(r.ok()) << r.message;
+      flood_max = std::max(flood_max, r.dispatch_seq);
+    }
+    for (auto& f : small) {
+      const ServiceResponse r = f.get();
+      ASSERT_TRUE(r.ok()) << r.message;
+      small_max = std::max(small_max, r.dispatch_seq);
+    }
+    EXPECT_LT(small_max, flood_max);
+    // Both of small's swaps dispatch well before flood's last.
+    EXPECT_LE(small_max, 6u);
+    svc.shutdown();
   }
-  for (int i = 0; i < 2; ++i) {
-    small.push_back(svc.submit(fx_->request(1, 1, "small")));
-  }
-  svc.resume();
-  std::uint64_t flood_max = 0;
-  std::uint64_t small_max = 0;
-  for (auto& f : flood) {
-    const ServiceResponse r = f.get();
-    ASSERT_TRUE(r.ok()) << r.message;
-    flood_max = std::max(flood_max, r.dispatch_seq);
-  }
-  for (auto& f : small) {
-    const ServiceResponse r = f.get();
-    ASSERT_TRUE(r.ok()) << r.message;
-    small_max = std::max(small_max, r.dispatch_seq);
-  }
-  EXPECT_LT(small_max, flood_max);
-  EXPECT_LE(small_max, 6u);  // both of small's swaps dispatch well before last
-  svc.shutdown();
 }
 
 TEST_F(ServiceTest, ShutdownRejectsQueuedAndNewRequests) {

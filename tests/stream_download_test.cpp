@@ -1,9 +1,9 @@
 // Burst-boundary torture tests for the streaming configuration datapath:
 // StreamSource/BurstCursor chunking invariants, byte-identical planes across
 // burst sizes and segment cuts (including zero-length segments), ABORT with
-// the port mid-burst, word flips landing exactly on burst seams, mid-stream
-// tool-side rejection with rollback, and the fdri-buffer reuse contract
-// (cfg.buffer_reallocs stays 0 after warm-up).
+// the port mid-burst, word flips landing exactly on burst seams, tool-side
+// rejection of a malformed tail before anything is sent, and the
+// fdri-buffer reuse contract (cfg.buffer_reallocs stays 0 after warm-up).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -185,29 +185,25 @@ TEST_F(StreamDownloadTest, RawBurstDownloadMatchesWholeSend) {
   }
 }
 
-TEST_F(StreamDownloadTest, VerifiedStreamSucceedsAcrossBurstSizesAndOverlap) {
-  for (const bool overlap : {false, true}) {
-    for (const std::size_t burst :
-         {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{512}}) {
-      SimBoard board(*dev_);
-      board.send_config(base_bit_.words);
-      VerifiedDownloader dl(board, *dev_);
-      dl.assume_board_state(*base_plane_);
-      const std::vector<std::size_t> cuts{burst - 1, burst, burst + 1,
-                                          3 * burst + 1};
-      StreamOptions opts;
-      opts.burst_words = burst;
-      opts.overlap_verify = overlap;
-      const DownloadReport rep =
-          dl.download_stream(cut_source(partial_.words, cuts), opts);
-      EXPECT_TRUE(rep.ok()) << "burst=" << burst << " overlap=" << overlap
-                            << ": " << rep.summary();
-      EXPECT_EQ(rep.attempts, 1);
-      EXPECT_EQ(rep.frames_touched, kUpdateFrames);
-      EXPECT_EQ(rep.faults_seen, 0u);
-      EXPECT_EQ(board_plane(board), *target_plane_);
-      EXPECT_EQ(dl.mirror(), *target_plane_);
-    }
+TEST_F(StreamDownloadTest, VerifiedStreamSucceedsAcrossBurstSizes) {
+  for (const std::size_t burst :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{512}}) {
+    SimBoard board(*dev_);
+    board.send_config(base_bit_.words);
+    VerifiedDownloader dl(board, *dev_);
+    dl.assume_board_state(*base_plane_);
+    const std::vector<std::size_t> cuts{burst - 1, burst, burst + 1,
+                                        3 * burst + 1};
+    StreamOptions opts;
+    opts.burst_words = burst;
+    const DownloadReport rep =
+        dl.download(cut_source(partial_.words, cuts), opts);
+    EXPECT_TRUE(rep.ok()) << "burst=" << burst << ": " << rep.summary();
+    EXPECT_EQ(rep.attempts, 1);
+    EXPECT_EQ(rep.frames_touched, kUpdateFrames);
+    EXPECT_EQ(rep.faults_seen, 0u);
+    EXPECT_EQ(board_plane(board), *target_plane_);
+    EXPECT_EQ(dl.mirror(), *target_plane_);
   }
 }
 
@@ -216,7 +212,7 @@ TEST_F(StreamDownloadTest, EmptySourceVerifiesTheMirrorAndSucceeds) {
   board.send_config(base_bit_.words);
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
-  const DownloadReport rep = dl.download_stream(StreamSource{});
+  const DownloadReport rep = dl.download(StreamSource{});
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(rep.attempts, 0);
   EXPECT_EQ(rep.frames_touched, 0u);
@@ -231,9 +227,8 @@ TEST_F(StreamDownloadTest, MalformedHeadIsRejectedNothingSent) {
   dl.assume_board_state(*base_plane_);
   Bitstream bad = partial_;
   bad.words[10] ^= 0x40u;  // CRC-covered register write corrupted
-  // Default burst (512) covers the whole stream: the head replay fails
-  // before anything is sent.
-  const DownloadReport rep = dl.download_stream(StreamSource::of(bad.words));
+  // The whole stream replays tool-side before anything is sent.
+  const DownloadReport rep = dl.download(StreamSource::of(bad.words));
   EXPECT_EQ(rep.status, DownloadStatus::Failed);
   EXPECT_EQ(rep.attempts, 0);
   EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
@@ -241,22 +236,24 @@ TEST_F(StreamDownloadTest, MalformedHeadIsRejectedNothingSent) {
   EXPECT_EQ(board_plane(board), *base_plane_);
 }
 
-TEST_F(StreamDownloadTest, MidStreamMalformationRollsBack) {
+TEST_F(StreamDownloadTest, MalformedTailIsRejectedNothingSent) {
   SimBoard board(*dev_);
   board.send_config(base_bit_.words);
+  const std::uint64_t words_before = board.config_words();
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
   Bitstream bad = partial_;
-  // Corrupt the stream's tail (the CRC region): with an 8-word burst the
-  // head bursts validate and go out before the replay trips on it.
+  // Corrupt the stream's tail (the CRC region): with an 8-word burst every
+  // head burst is well-formed, but the whole source replays before the
+  // first burst goes out, so the tail still stops the download unsent.
   bad.words[bad.words.size() - 4] ^= 1u;
   StreamOptions opts;
   opts.burst_words = 8;
-  const DownloadReport rep = dl.download_stream(StreamSource::of(bad.words),
-                                                opts);
-  EXPECT_EQ(rep.status, DownloadStatus::RolledBack) << rep.summary();
-  EXPECT_NE(rep.error.find("mid-stream"), std::string::npos) << rep.error;
-  // Two-state invariant: the board is back on the pre-update plane.
+  const DownloadReport rep = dl.download(StreamSource::of(bad.words), opts);
+  EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+  EXPECT_EQ(rep.attempts, 0);
+  EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
+  EXPECT_EQ(board.config_words(), words_before);
   EXPECT_EQ(board_plane(board), *base_plane_);
   EXPECT_EQ(dl.mirror(), *base_plane_);
 }
@@ -272,7 +269,7 @@ TEST_F(StreamDownloadTest, AbortUnsticksAPortLeftMidBurst) {
   StreamOptions opts;
   opts.burst_words = 16;
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), opts);
+      dl.download(StreamSource::of(partial_.words), opts);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
@@ -329,7 +326,7 @@ TEST_F(StreamDownloadTest, WordFlipOnBurstSeamIsRepaired) {
     StreamOptions opts;
     opts.burst_words = 16;
     const DownloadReport rep =
-        dl.download_stream(StreamSource::of(partial_.words), opts);
+        dl.download(StreamSource::of(partial_.words), opts);
     EXPECT_TRUE(rep.ok()) << "nth=" << nth << ": " << rep.summary();
     EXPECT_EQ(seam.flips(), 1) << "nth=" << nth;
     EXPECT_EQ(board_plane(board), *target_plane_) << "nth=" << nth;
@@ -350,18 +347,16 @@ TEST_F(StreamDownloadTest, FaultyLinkStreamingConvergesWithRepairBudget) {
   StreamOptions opts;
   opts.burst_words = 32;
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), opts);
+      dl.download(StreamSource::of(partial_.words), opts);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(faulty.faults_injected(), 1u);
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
 
-// Regression: once a send fault latched `send_failed`, the loop kept
-// crediting the (near-zero) window of every skipped send as hidden
-// validation time, deflating cfg.stream_overlap_ns. After the fix only
-// bursts that actually went out cleanly contribute overlap credit — with
-// the very first send faulted, the whole stream must report exactly zero.
-TEST_F(StreamDownloadTest, NoOverlapCreditAfterSendFault) {
+// A send fault on the very first burst stops the streamed send; the
+// readback then finds every touched frame stale and one repair stream over
+// the now-clean link converges.
+TEST_F(StreamDownloadTest, SendFaultOnFirstBurstIsRepaired) {
   SimBoard board(*dev_);
   board.send_config(base_bit_.words);
   FaultProfile profile;
@@ -372,14 +367,12 @@ TEST_F(StreamDownloadTest, NoOverlapCreditAfterSendFault) {
   dl.assume_board_state(*base_plane_);
   StreamOptions opts;
   opts.burst_words = 16;  // many bursts, all skipped after the fault
-  opts.overlap_verify = true;
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), opts);
+      dl.download(StreamSource::of(partial_.words), opts);
   // Nothing reached the board in the streamed phase; the repair stream
   // rewrites every touched frame over the now-clean link.
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_GE(rep.faults_seen, 1u);
-  EXPECT_EQ(rep.telemetry.counter("stream_overlap_ns"), 0u);
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
 
@@ -406,7 +399,7 @@ TEST_F(StreamDownloadTest, JpgFacadeStreamsALeasedPbit) {
   const PbitLease lease = tool.generator().generate_leased(module, region);
   ASSERT_TRUE(lease.valid());
   const DownloadReport rep =
-      tool.download_verified_stream(StreamSource::of(lease.words()));
+      tool.download_verified(StreamSource::of(lease.words()));
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(tool.generator().cache_stats().pinned, 1u);
 

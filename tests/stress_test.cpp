@@ -291,7 +291,7 @@ TEST(ReadbackVerify, DetectsTamperedBoardState) {
   SimBoard board(dev);
   board.send_config(base_bit.words);
   tool.connect(&board);
-  tool.download(update.partial);
+  tool.download(StreamSource::of(update.partial.words));
   EXPECT_EQ(tool.verify_via_readback(update), 0u);
 
   // Tamper with one frame on the "board" by loading a poisoned write.

@@ -88,7 +88,7 @@ TEST_F(VerifiedDownloadTest, CleanLinkSucceedsFirstAttempt) {
   board.send_config(base_bit_.words);
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
-  const DownloadReport rep = dl.download_partial(partial_);
+  const DownloadReport rep = dl.download(StreamSource::of(partial_.words));
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(rep.status, DownloadStatus::Success);
   EXPECT_EQ(rep.attempts, 1);
@@ -104,13 +104,13 @@ TEST_F(VerifiedDownloadTest, DownloadFullEstablishesMirror) {
   SimBoard board(*dev_);
   VerifiedDownloader dl(board, *dev_);
   EXPECT_FALSE(dl.has_mirror());
-  const DownloadReport rep = dl.download_full(base_bit_);
+  const DownloadReport rep = dl.download(StreamSource::of(base_bit_.words));
   EXPECT_TRUE(rep.ok()) << rep.summary();
   ASSERT_TRUE(dl.has_mirror());
   EXPECT_EQ(dl.mirror(), *base_plane_);
   EXPECT_TRUE(board.config_done());
   // A partial now works without assume_board_state.
-  EXPECT_TRUE(dl.download_partial(partial_).ok());
+  EXPECT_TRUE(dl.download(StreamSource::of(partial_.words)).ok());
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
 
@@ -118,7 +118,7 @@ TEST_F(VerifiedDownloadTest, PartialWithoutMirrorIsRefused) {
   SimBoard board(*dev_);
   board.send_config(base_bit_.words);
   VerifiedDownloader dl(board, *dev_);
-  EXPECT_THROW((void)dl.download_partial(partial_), JpgError);
+  EXPECT_THROW((void)dl.download(StreamSource::of(partial_.words)), JpgError);
 }
 
 TEST_F(VerifiedDownloadTest, MalformedStreamIsRejectedToolSideNothingSent) {
@@ -129,7 +129,7 @@ TEST_F(VerifiedDownloadTest, MalformedStreamIsRejectedToolSideNothingSent) {
   dl.assume_board_state(*base_plane_);
   Bitstream bad = partial_;
   bad.words[10] ^= 0x40u;  // CRC-covered register write corrupted
-  const DownloadReport rep = dl.download_partial(bad);
+  const DownloadReport rep = dl.download(StreamSource::of(bad.words));
   EXPECT_EQ(rep.status, DownloadStatus::Failed);
   EXPECT_NE(rep.error.find("tool-side"), std::string::npos) << rep.error;
   EXPECT_EQ(rep.attempts, 0);
@@ -149,7 +149,7 @@ TEST_F(VerifiedDownloadTest, TruncatedSendsAreRetriedToSuccess) {
   policy.max_attempts = 4;
   VerifiedDownloader dl(faulty, *dev_, policy);
   dl.assume_board_state(*base_plane_);
-  const DownloadReport rep = dl.download_partial(partial_);
+  const DownloadReport rep = dl.download(StreamSource::of(partial_.words));
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_GT(rep.attempts, 1);
   EXPECT_EQ(faulty.counters().truncations, 2u);
@@ -167,7 +167,7 @@ TEST_F(VerifiedDownloadTest, FullDownloadRidesOutTruncation) {
   DownloadPolicy policy;
   policy.max_attempts = 6;
   VerifiedDownloader dl(faulty, *dev_, policy);
-  const DownloadReport rep = dl.download_full(base_bit_);
+  const DownloadReport rep = dl.download(StreamSource::of(base_bit_.words));
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_TRUE(board.config_done());
   EXPECT_EQ(board_plane(board), *base_plane_);
@@ -184,7 +184,7 @@ TEST_F(VerifiedDownloadTest, UnverifiableLinkReportsFailed) {
   policy.rollback_max_attempts = 2;
   VerifiedDownloader dl(faulty, *dev_, policy);
   dl.assume_board_state(*base_plane_);
-  const DownloadReport rep = dl.download_partial(partial_);
+  const DownloadReport rep = dl.download(StreamSource::of(partial_.words));
   EXPECT_EQ(rep.status, DownloadStatus::Failed);
   EXPECT_FALSE(rep.ok());
   EXPECT_FALSE(rep.error.empty());
@@ -197,7 +197,7 @@ TEST_F(VerifiedDownloadTest, ReportSummaryNamesTheOutcome) {
   board.send_config(base_bit_.words);
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
-  const DownloadReport rep = dl.download_partial(partial_);
+  const DownloadReport rep = dl.download(StreamSource::of(partial_.words));
   EXPECT_NE(rep.summary().find("success"), std::string::npos);
   EXPECT_NE(rep.summary().find("frames touched"), std::string::npos);
   EXPECT_EQ(download_status_name(DownloadStatus::RolledBack), "rolled-back");
@@ -276,7 +276,7 @@ TEST_F(VerifiedDownloadTest, TwoHundredSeededFaultScenariosConvergeOrRollBack) {
     FaultyBoard faulty(board, profile, 1000u + static_cast<std::uint64_t>(s));
     VerifiedDownloader dl(faulty, *dev_, policy);
     dl.assume_board_state(*base_plane_);
-    const DownloadReport rep = dl.download_partial(partial_);
+    const DownloadReport rep = dl.download(StreamSource::of(partial_.words));
 
     ASSERT_NE(rep.status, DownloadStatus::Failed)
         << "scenario " << s << ": " << rep.summary();
@@ -291,10 +291,9 @@ TEST_F(VerifiedDownloadTest, TwoHundredSeededFaultScenariosConvergeOrRollBack) {
   EXPECT_GT(rollbacks, 0);
 }
 
-// The same 200-scenario campaign through the streaming datapath: small
-// bursts (so faults land at burst granularity), segmented sources, and
-// verify/transfer overlap enabled. The invariant is identical — streaming
-// must not open a third state.
+// The same 200-scenario campaign with small bursts (so faults land at
+// burst granularity) and segmented sources. The invariant is identical —
+// streaming must not open a third state.
 TEST_F(VerifiedDownloadTest, StreamingSweepTwoHundredScenariosConvergeOrRollBack) {
   int successes = 0;
   int rollbacks = 0;
@@ -349,8 +348,7 @@ TEST_F(VerifiedDownloadTest, StreamingSweepTwoHundredScenariosConvergeOrRollBack
     src.add(words.subspan(cut2));
     StreamOptions opts;
     opts.burst_words = 1 + r.uniform(48);
-    opts.overlap_verify = true;
-    const DownloadReport rep = dl.download_stream(src, opts);
+    const DownloadReport rep = dl.download(src, opts);
 
     ASSERT_NE(rep.status, DownloadStatus::Failed)
         << "scenario " << s << ": " << rep.summary();
@@ -449,7 +447,8 @@ TEST(JpgDownloadVerified, ModuleUpdateOverFlakyLink) {
 
   DownloadPolicy policy;
   policy.max_attempts = 4;
-  const DownloadReport rep = tool.download_verified(update, policy);
+  const DownloadReport rep =
+      tool.download_verified(StreamSource::of(update.partial.words), policy);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   // The budget is spent; the plain readback check agrees with the report.
   EXPECT_EQ(tool.verify_via_readback(update), 0u);

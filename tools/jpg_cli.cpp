@@ -619,7 +619,7 @@ int cmd_download(int argc, char** argv) {
     port.load(base);
   }
   dl.assume_board_state(base_plane);
-  const DownloadReport rep = dl.download_partial(partial);
+  const DownloadReport rep = dl.download(StreamSource::of(partial.words));
   std::printf("%s\n", rep.summary().c_str());
   for (const std::string& line : rep.fault_log) {
     std::printf("  fault       : %s\n", line.c_str());
@@ -671,8 +671,9 @@ int cmd_stats(int argc, char** argv) {
 
   SimBoard board(dev);
   VerifiedDownloader dl(board, dev);
-  const DownloadReport full_rep = dl.download_full(full);
-  const DownloadReport part_rep = dl.download_partial(miss.bitstream);
+  const DownloadReport full_rep = dl.download(StreamSource::of(full.words));
+  const DownloadReport part_rep =
+      dl.download(StreamSource::of(miss.bitstream.words));
   std::printf("download      : full %s, partial %s\n",
               std::string(download_status_name(full_rep.status)).c_str(),
               std::string(download_status_name(part_rep.status)).c_str());
@@ -722,7 +723,6 @@ int cmd_serve(int argc, char** argv) {
   }
   const Device& dev = Device::get(part);
   const LoadFixture fx = make_load_fixture(dev, seed, slots, variants);
-  cfg.stream.overlap_verify = true;
   ReconfigService svc(dev, fx.base, boards, cfg);
   PoissonLoadOptions opt;
   opt.requests = requests;
