@@ -277,25 +277,26 @@ void bench_fastpath(benchutil::JsonReport& report) {
             batch_gen.generate(*u.module_config, u.region, u.opts).far_blocks);
       }
     });
-    // Audit pass before timing: an explicitly sized batch must report
-    // exactly the requested pool width — a silent fall-back to an inline
-    // loop is the bug this PR fixes, so the bench hard-fails on it.
+    // Audit pass before timing: a batch on a pool of a given width must
+    // report exactly that width — a silent fall-back to an inline loop
+    // would claim parallelism it never had, so the bench hard-fails on it.
     // `workers_used` is the observed fan-out (pool workers + the calling
     // thread); on a single-core host it is honestly 1.
     constexpr std::size_t kReqThreads = 4;
+    ThreadPool audit_pool(kReqThreads);
     std::size_t workers_used = 0;
-    for (const PartialGenResult& r : batch_gen.generate_batch(updates,
-                                                              kReqThreads)) {
+    for (const PartialGenResult& r :
+         batch_gen.generate_batch(updates, audit_pool)) {
       if (r.pool_threads != kReqThreads) {
         std::fprintf(stderr,
-                     "FATAL: generate_batch(threads=%zu) reported "
+                     "FATAL: generate_batch(pool width %zu) reported "
                      "pool_threads=%zu\n",
                      kReqThreads, r.pool_threads);
         std::abort();
       }
       if (r.workers_used < 1 || r.workers_used > kReqThreads + 1) {
         std::fprintf(stderr,
-                     "FATAL: generate_batch(threads=%zu) reported "
+                     "FATAL: generate_batch(pool width %zu) reported "
                      "workers_used=%zu\n",
                      kReqThreads, r.workers_used);
         std::abort();

@@ -107,15 +107,14 @@ void print_pnr_series() {
               "gap widens with device size.\n");
 }
 
-/// Threads sweep for the speculative router, against the in-tree seed
-/// reference algorithm (RouterOptions::reference_impl), written to
-/// BENCH_pnr.json. XCV300 keeps continuity with earlier reports; XCV800
-/// gives the speculative scheduler a rip-up wave wide enough to scale
-/// against (the XCV300 waves are only ~45 nets). Each configuration takes
-/// the best of a few runs to shave scheduler noise off single-shot flow
-/// timings; JPG_BENCH_SMOKE=1 drops to XCV100 with one repeat so CI can
-/// validate the report shape in seconds.
-void print_parallel_series() {
+/// The speculative router against the in-tree seed reference algorithm
+/// (RouterOptions::reference_impl), written to BENCH_pnr.json. XCV300
+/// keeps continuity with earlier reports; XCV800 gives the router a rip-up
+/// wave wide enough to show the gap widening with device size. Each
+/// configuration takes the best of a few runs to shave scheduler noise off
+/// single-shot flow timings; JPG_BENCH_SMOKE=1 drops to XCV100 with one
+/// repeat so CI can validate the report shape in seconds.
+void print_route_series() {
   using benchutil::fmt;
   const bool smoke = benchutil::smoke_mode();
   const std::vector<const char*> parts =
@@ -123,9 +122,8 @@ void print_parallel_series() {
             : std::vector<const char*>{"XCV300", "XCV800"};
 
   benchutil::JsonReport report;
-  benchutil::Table t(
-      {"device", "router", "threads", "pack ms", "place ms", "route ms",
-       "rounds", "retries", "route speedup"});
+  benchutil::Table t({"device", "router", "pack ms", "place ms", "route ms",
+                      "rounds", "retries", "route speedup"});
   for (const char* part : parts) {
     const Device& dev = Device::get(part);
     (void)RoutingGraph::get(dev);  // one-off graph build outside timing
@@ -155,34 +153,27 @@ void print_parallel_series() {
     const BaseFlowResult ref = best_flow(ref_opt);
     const double ref_route_ms = ref.timings.route_s * 1e3;
     report.set(sec, "route_ms_reference", ref_route_ms);
-    t.row({part, "reference", "1", fmt(ref.timings.pack_s * 1e3),
+    t.row({part, "reference", fmt(ref.timings.pack_s * 1e3),
            fmt(ref.timings.place_s * 1e3), fmt(ref_route_ms), "-", "-",
            "1.0x"});
 
-    for (const int threads : {1, 2, 4, 8}) {
-      FlowOptions opt;
-      opt.router.num_threads = threads;
-      const BaseFlowResult res = best_flow(opt);
-      const double route_ms = res.timings.route_s * 1e3;
-      const double speedup = ref_route_ms / route_ms;
-      const std::string tag = "_t" + std::to_string(threads);
-      if (threads == 1) {
-        report.set(sec, "pack_ms", res.timings.pack_s * 1e3);
-        report.set(sec, "place_ms", res.timings.place_s * 1e3);
-        report.set(sec, "spec_rounds",
-                   static_cast<double>(res.route_stats.spec_rounds));
-        report.set(sec, "spec_retries",
-                   static_cast<double>(res.route_stats.spec_retries));
-        report.set(sec, "nets_rerouted",
-                   static_cast<double>(res.route_stats.nets_rerouted));
-      }
-      report.set(sec, "route_ms" + tag, route_ms);
-      report.set(sec, "route_speedup" + tag, speedup);
-      t.row({part, "speculative", std::to_string(threads),
-             fmt(res.timings.pack_s * 1e3), fmt(res.timings.place_s * 1e3),
-             fmt(route_ms), std::to_string(res.route_stats.spec_rounds),
-             std::to_string(res.route_stats.spec_retries), fmt(speedup) + "x"});
-    }
+    const BaseFlowResult res = best_flow({});
+    const double route_ms = res.timings.route_s * 1e3;
+    const double speedup = ref_route_ms / route_ms;
+    report.set(sec, "pack_ms", res.timings.pack_s * 1e3);
+    report.set(sec, "place_ms", res.timings.place_s * 1e3);
+    report.set(sec, "route_ms", route_ms);
+    report.set(sec, "route_speedup", speedup);
+    report.set(sec, "spec_rounds",
+               static_cast<double>(res.route_stats.spec_rounds));
+    report.set(sec, "spec_retries",
+               static_cast<double>(res.route_stats.spec_retries));
+    report.set(sec, "nets_rerouted",
+               static_cast<double>(res.route_stats.nets_rerouted));
+    t.row({part, "speculative", fmt(res.timings.pack_s * 1e3),
+           fmt(res.timings.place_s * 1e3), fmt(route_ms),
+           std::to_string(res.route_stats.spec_rounds),
+           std::to_string(res.route_stats.spec_retries), fmt(speedup) + "x"});
   }
   t.print("CL-PNR: route phase, speculative router vs seed reference");
   benchutil::add_telemetry_section(report);
@@ -198,6 +189,6 @@ int main(int argc, char** argv) {
     ::benchmark::RunSpecifiedBenchmarks();
     jpg::print_pnr_series();
   }
-  jpg::print_parallel_series();
+  jpg::print_route_series();
   return 0;
 }

@@ -102,7 +102,7 @@ std::vector<SlotDef> fig4_slots(const Device& device) {
   return slots;
 }
 
-ScenarioBase build_base(const Device& device,
+ScenarioBase build_base(const Device& /*device*/,
                         const std::vector<SlotDef>& slots) {
   ScenarioBase sb;
   Netlist& top = sb.top;

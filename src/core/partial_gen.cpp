@@ -6,7 +6,6 @@
 #include "support/error.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
-#include "support/thread_pool.h"
 
 namespace jpg {
 
@@ -289,7 +288,7 @@ PartialGenResult PartialBitstreamGenerator::generate(
 }
 
 std::vector<PartialGenResult> PartialBitstreamGenerator::generate_batch(
-    std::span<const RegionUpdate> updates, std::size_t num_threads) const {
+    std::span<const RegionUpdate> updates, ThreadPool& pool) const {
   JPG_SPAN("pgen.generate_batch");
   JPG_COUNT("pgen.batches", 1);
   JPG_HIST("pgen.batch_fanout", updates.size());
@@ -310,15 +309,14 @@ std::vector<PartialGenResult> PartialBitstreamGenerator::generate_batch(
     }
   }
 
-  // Fan out over the requested pool. Everything per-update — content hash,
+  // Fan out over the caller's pool. Everything per-update — content hash,
   // cache probe, overlay composition, stream emission, cache insertion —
   // runs inside the worker; the only cross-thread state is the mutex-guarded
   // pbit cache, and results land in input order, so the batch is
-  // byte-identical to sequential generate() calls at any thread count.
-  const std::shared_ptr<ThreadPool> pool = ThreadPool::sized(num_threads);
+  // byte-identical to sequential generate() calls at any pool width.
   std::vector<PartialGenResult> out(updates.size());
   ThreadPool::ParallelForStats pf_stats;
-  pool->parallel_for(
+  pool.parallel_for(
       updates.size(),
       [&](std::size_t i) {
         out[i] = generate(*updates[i].module_config, updates[i].region,
@@ -326,10 +324,10 @@ std::vector<PartialGenResult> PartialBitstreamGenerator::generate_batch(
       },
       &pf_stats);
   for (PartialGenResult& r : out) {
-    r.pool_threads = pool->size();
+    r.pool_threads = pool.size();
     r.workers_used = pf_stats.workers_used;
   }
-  JPG_GAUGE_SET("pgen.batch_pool_threads", pool->size());
+  JPG_GAUGE_SET("pgen.batch_pool_threads", pool.size());
   JPG_GAUGE_SET("pgen.batch_workers_used", pf_stats.workers_used);
   return out;
 }

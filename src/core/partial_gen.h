@@ -14,7 +14,7 @@
 // (never a full-device copy), row windows move as word-level blits, and a
 // content-addressed LRU cache short-circuits regeneration when a module
 // pool cycles (the Figure-1 serving workload). Batches of updates over
-// disjoint majors fan out across ThreadPool::global().
+// disjoint majors fan out across a caller-chosen ThreadPool.
 #pragma once
 
 #include <list>
@@ -29,6 +29,7 @@
 #include "bitstream/frame_overlay.h"
 #include "device/region.h"
 #include "support/telemetry/telemetry.h"
+#include "support/thread_pool.h"
 
 namespace jpg {
 
@@ -165,19 +166,19 @@ class PartialBitstreamGenerator {
                                           const Region& region,
                                           const PartialGenOptions& opts = {}) const;
 
-  /// Fans independent region updates out over a shared worker pool:
-  /// `num_threads == 0` uses ThreadPool::global() (hardware-sized), N > 0
-  /// uses ThreadPool::sized(N) — so callers on a small host can still
-  /// request a real fan-out. Each worker runs the whole per-update
+  /// Fans independent region updates out over `pool` (default: the
+  /// hardware-sized ThreadPool::global()); callers that audit a given width
+  /// construct a pool of that width. Each worker runs the whole per-update
   /// pipeline off-thread: content hash, cache probe, overlay composition,
   /// stream emission and cache insertion. The regions must own
   /// pairwise-disjoint majors (their frame sets are then disjoint, so the
   /// generations are embarrassingly parallel); overlapping batches are
   /// rejected. Output order matches input order and each element is
-  /// byte-identical to a sequential generate() call at any thread count.
+  /// byte-identical to a sequential generate() call at any pool width.
   /// Every result carries pool_threads/workers_used for auditing.
   [[nodiscard]] std::vector<PartialGenResult> generate_batch(
-      std::span<const RegionUpdate> updates, std::size_t num_threads = 0) const;
+      std::span<const RegionUpdate> updates,
+      ThreadPool& pool = ThreadPool::global()) const;
 
   /// Like generate(), but pins the cache entry and returns a lease over it:
   /// the resident words can be streamed to a board (StreamSource segments

@@ -99,22 +99,6 @@ class BurstCursor {
     return burst;
   }
 
-  [[nodiscard]] bool done() const {
-    const auto& segs = source_->segments();
-    std::size_t s = segment_;
-    std::size_t o = offset_;
-    while (s < segs.size() && o >= segs[s].size()) {
-      ++s;
-      o = 0;
-    }
-    return s >= segs.size();
-  }
-
-  void rewind() {
-    segment_ = 0;
-    offset_ = 0;
-  }
-
  private:
   const StreamSource* source_;
   std::size_t segment_ = 0;

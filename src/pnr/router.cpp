@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "support/log.h"
-#include "support/thread_pool.h"
 
 namespace jpg {
 
@@ -128,10 +127,9 @@ const RoutingGraph& RoutingGraph::get(const Device& device) {
 
 namespace {
 
-/// Per-worker A* scratch: the stamp/cost/predecessor arrays, the reusable
-/// binary heap, and the routing-tree membership stamps. One instance per
-/// concurrent search; leased from a pool so rounds of any width reuse the
-/// same allocations.
+/// A* scratch: the stamp/cost/predecessor arrays, the reusable binary
+/// heap, and the routing-tree membership stamps. One instance serves every
+/// search of a run, so rounds of any width reuse the same allocations.
 struct RouterScratch {
   std::vector<double> cost;
   std::vector<std::int32_t> prev_edge;  ///< index into edge_store
@@ -157,44 +155,6 @@ struct RouterScratch {
       tree_mark = 0;
     }
   }
-};
-
-/// Mutex-guarded lease pool of RouterScratch instances (cheap relative to a
-/// single A* search; keeps per-worker state off the PathFinder object).
-class ScratchPool {
- public:
-  explicit ScratchPool(std::size_t nodes) : nodes_(nodes) {}
-
-  RouterScratch* acquire() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (free_.empty()) {
-      all_.push_back(std::make_unique<RouterScratch>());
-      all_.back()->ensure(nodes_);
-      return all_.back().get();
-    }
-    RouterScratch* s = free_.back();
-    free_.pop_back();
-    return s;
-  }
-  void release(RouterScratch* s) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(s);
-  }
-
-  struct Lease {
-    ScratchPool* pool;
-    RouterScratch* s;
-    explicit Lease(ScratchPool& p) : pool(&p), s(p.acquire()) {}
-    ~Lease() { pool->release(s); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-  };
-
- private:
-  std::size_t nodes_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<RouterScratch>> all_;
-  std::vector<RouterScratch*> free_;
 };
 
 /// Net bounding box over CLB tile coordinates, used to window the A*
@@ -250,8 +210,8 @@ class PathFinder {
   double pres_fac_ = 1.0;
 
   std::vector<NetBBox> bbox_;  ///< parallel to nets_
-  /// A* heap pops over every search (relaxed; flushed once per net search).
-  JPG_TELEM(mutable std::atomic<std::uint64_t> astar_pops_{0};)
+  /// A* heap pops over every search (flushed once per net search).
+  JPG_TELEM(std::uint64_t astar_pops_ = 0;)
 
   // Per-net routing state.
   struct NetRoute {
@@ -378,8 +338,8 @@ void PathFinder::rip_up(std::size_t net_idx) {
 /// window prunes A* expansion to the net's neighbourhood — on a large part
 /// most of the graph is provably irrelevant to a short net — and a failed
 /// windowed search falls back to the full graph, so routability is never
-/// lost. Both window and fallback are pure functions of the net, keeping
-/// the result thread-count-invariant.
+/// lost. Both window and fallback are pure functions of the net and the
+/// snapshot, so the window never depends on the order nets are searched.
 constexpr int kSearchMargin = kHexSpan;
 
 void PathFinder::route_net(std::size_t net_idx, RouterScratch& s) {
@@ -426,8 +386,7 @@ void PathFinder::route_net(std::size_t net_idx, RouterScratch& s) {
     // large cut in expanded nodes (the admissible bound dist/kHexSpan is a
     // 6x underestimate whenever the route rides singles, so the plain bound
     // degenerates toward Dijkstra). PathFinder's negotiation still converges
-    // on slightly non-minimal trees; the factor is identical for every
-    // thread count, so determinism is unaffected.
+    // on slightly non-minimal trees.
     constexpr double kAstarFac = 2.5;
     auto heur = [&](std::size_t node) -> double {
       if (sink_r < 0) return 0;
@@ -512,7 +471,7 @@ void PathFinder::route_net(std::size_t net_idx, RouterScratch& s) {
       node = from;
     }
   }
-  JPG_TELEM(astar_pops_.fetch_add(telem_pops, std::memory_order_relaxed);)
+  JPG_TELEM(astar_pops_ += telem_pops;)
   JPG_COUNT("pnr.route.astar_pops", telem_pops);
 }
 
@@ -563,16 +522,8 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
   if (opt_.reference_impl) return run_reference(stats);
 
   compute_bboxes();
-  // Execution width: 1 routes in the caller's thread; 0/auto and N>1 lease
-  // a shared pool. The result is identical either way (batch snapshots).
-  ThreadPool* pool = nullptr;
-  std::shared_ptr<ThreadPool> pool_lease;  // keeps the sized pool alive
-  if (opt_.num_threads != 1) {
-    pool_lease = ThreadPool::sized(
-        opt_.num_threads <= 0 ? 0 : static_cast<std::size_t>(opt_.num_threads));
-    if (pool_lease->size() > 1) pool = pool_lease.get();
-  }
-  ScratchPool scratch(n);
+  RouterScratch scratch;
+  scratch.ensure(n);
 
   pres_fac_ = opt_.pres_fac_first;
   const int max_spec_rounds = std::max(1, opt_.max_spec_rounds);
@@ -600,8 +551,8 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
     for (const std::size_t i : work) rip_up(i);
     reroutes += work.size();
 
-    // Speculative rounds: round 1 routes the whole wave concurrently
-    // against the frozen iteration-start snapshot; merge walks the wave in
+    // Speculative rounds: round 1 routes the whole wave against the
+    // frozen iteration-start snapshot; merge walks the wave in
     // net order, and a net that lands on a node an earlier-merged net of
     // this iteration claimed is discarded and rerouted next round against
     // the updated snapshot (which now prices those claims). Conflicts with
@@ -609,8 +560,7 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
     // retry's snapshot would be unchanged there, so the search would just
     // repeat; pres_fac/history negotiation resolves those, exactly as the
     // batched scheduler left them. Every step is a pure function of the
-    // net order and the snapshots, so any thread count produces the same
-    // bytes.
+    // net order and the snapshots.
     overused_nodes.clear();
     claimed_nodes.clear();
     pending = work;
@@ -619,15 +569,7 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
       JPG_TELEM(JPG_HIST("pnr.route.round_width", pending.size());)
       // occupancy_/history_ are read-only until every search of the round
       // has finished.
-      if (pool == nullptr || pending.size() == 1) {
-        ScratchPool::Lease lease(scratch);
-        for (const std::size_t i : pending) route_net(i, *lease.s);
-      } else {
-        pool->parallel_for(pending.size(), [&](std::size_t k) {
-          ScratchPool::Lease lease(scratch);
-          route_net(pending[k], *lease.s);
-        });
-      }
+      for (const std::size_t i : pending) route_net(i, scratch);
       // Deterministic merge barrier: claims land in net order. Rip-up
       // leaves every node at occupancy 0 or 1 (all riders of an overused
       // node are rerouted together), so a node is overused this iteration
@@ -686,8 +628,7 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
     stats->telemetry.set("spec_rounds", round_count);
     stats->telemetry.set("spec_retries", retry_count);
     stats->telemetry.set("nets_rerouted", reroutes);
-    JPG_TELEM(stats->telemetry.set(
-        "astar_pops", astar_pops_.load(std::memory_order_relaxed));)
+    JPG_TELEM(stats->telemetry.set("astar_pops", astar_pops_);)
   }
   JPG_COUNT("pnr.route.runs", 1);
   JPG_COUNT("pnr.route.iterations", static_cast<std::uint64_t>(iter));

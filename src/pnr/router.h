@@ -1,19 +1,17 @@
 // Router: PathFinder negotiated-congestion routing over the device fabric —
 // the PAR routing step of the Foundation flow.
 //
-// Each PathFinder iteration routes its whole rip-up wave *speculatively*:
-// every net that needs (re)routing searches concurrently against a frozen
-// occupancy/history snapshot, then claims are merged in net order at a
-// barrier. A net whose path lands on a node some earlier-merged net of the
-// same iteration already claimed is discarded and retried in the next
+// Each PathFinder iteration routes its whole rip-up wave *speculatively*,
+// in the caller's thread: every net that needs (re)routing searches against
+// a frozen occupancy/history snapshot, then claims are merged in net order
+// at a barrier. A net whose path lands on a node some earlier-merged net of
+// the same iteration already claimed is discarded and retried in the next
 // round against the updated snapshot (bounded by
 // RouterOptions::max_spec_rounds; leftovers are accepted as overuse for
-// the normal PathFinder negotiation to resolve). Because every search
-// depends only on the snapshot and the merge order is the net order, the
-// result is byte-identical for any RouterOptions::num_threads — and unlike
-// the earlier conflict-free bbox batches (whose mean width was a handful
-// of nets), the first round of every iteration exposes the entire wave as
-// parallel work (see DESIGN.md §5c).
+// the normal PathFinder negotiation to resolve). Every search depends only
+// on the snapshot and the merge order is the net order, so the routed
+// bytes are a pure function of the input (see DESIGN.md §5c for why the
+// router has no thread axis).
 //
 // The router understands the partial-reconfiguration resource discipline
 // (DESIGN.md, pnr/flow.h): a *module* net may be restricted to its region's
@@ -107,14 +105,6 @@ struct RouterOptions {
   double pres_fac_first = 0.8;
   double pres_fac_mult = 1.6;
   double hist_fac = 0.5;
-  /// Worker threads for the per-iteration net fan-out: 0 sizes to the
-  /// hardware (ThreadPool::global()), 1 routes in the caller's thread, N>1
-  /// uses a shared pool of exactly N workers (ThreadPool::sized). The
-  /// routed output is byte-identical for every value — all speculative
-  /// searches of a round run against the same frozen snapshot and merge at
-  /// a deterministic net-order barrier, so the thread count only changes
-  /// wall-clock, never the result.
-  int num_threads = 0;
   /// Speculative conflict-retry rounds per iteration. Round 1 routes the
   /// whole rip-up wave; each later round reroutes only the nets whose
   /// claims collided with an earlier-merged net of the same iteration.
@@ -126,8 +116,8 @@ struct RouterOptions {
   /// Bench-only reference: the seed's unbatched sequential algorithm
   /// (linear tree-membership scans, per-relax node_info lookups, a fresh
   /// heap per sink search, online occupancy updates). Kept so
-  /// bench_cl_pnr_time can measure the batched router's speedup against an
-  /// in-tree baseline; its results may differ from the batched router.
+  /// bench_cl_pnr_time can measure the speculative router's speedup
+  /// against an in-tree baseline; its results may differ from it.
   bool reference_impl = false;
 };
 

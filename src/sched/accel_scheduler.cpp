@@ -93,7 +93,7 @@ std::vector<std::vector<bool>> reference_traces(const SchedFixture& fixture,
 
 AcceleratorScheduler::AcceleratorScheduler(const SchedFixture& fixture,
                                            SchedConfig cfg)
-    : fixture_(&fixture), cfg_(std::move(cfg)) {
+    : fixture_(&fixture), cfg_(std::move(cfg)), pool_(cfg_.workers) {
   JPG_REQUIRE(cfg_.num_boards >= 1, "scheduler needs at least one board");
   JPG_REQUIRE(cfg_.workers >= 1, "scheduler needs at least one worker");
   JPG_REQUIRE(cfg_.sim_cycles >= 1, "sim_cycles must be positive");
@@ -118,11 +118,6 @@ AcceleratorScheduler::AcceleratorScheduler(const SchedFixture& fixture,
   };
   svc_ = std::make_unique<ReconfigService>(fixture.device(), fixture.base(),
                                            cfg_.num_boards, std::move(svc));
-
-  // Private pool: node tasks block on service futures, so the scheduler must
-  // not share a pool with the service (ThreadPool::sized caches by width —
-  // same width would alias). See SchedConfig::workers.
-  pool_ = std::make_shared<ThreadPool>(cfg_.workers);
 
   boards_.resize(cfg_.num_boards);
   for (BoardState& b : boards_) {
@@ -175,7 +170,7 @@ AppTicket AcceleratorScheduler::submit(TaskGraph graph) {
     }
     ++stats_.apps_submitted;
     apps_.push_back(app);
-    if (n == 0) finalize_app_locked(*app);
+    if (n == 0) retire_drained_apps_locked();
     // A submit that lands while every board is revoked and nothing is in
     // flight can never place; without this check the app's future would
     // only resolve via a completion that will never happen.
@@ -209,7 +204,6 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
   if (free_slots.empty()) return false;
 
   for (const auto& app : apps_) {
-    if (app->finalized) continue;
     for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
       if (app->state[i] != NodeState::Ready) continue;
       const TaskNode& node = app->graph.nodes[i];
@@ -322,7 +316,7 @@ void AcceleratorScheduler::dispatcher_loop() {
       lk.unlock();
       // Futures from submit are intentionally dropped: completion flows
       // through complete_node_locked, and the pool drains in shutdown().
-      (void)pool_->submit([this, d] { execute_node(d); });
+      (void)pool_.submit([this, d] { execute_node(d); });
       lk.lock();
       continue;
     }
@@ -491,7 +485,7 @@ void AcceleratorScheduler::complete_node_locked(
     }
   }
 
-  if (app.unfinished == 0 && !app.finalized) finalize_app_locked(app);
+  if (app.unfinished == 0) retire_drained_apps_locked();
   // A revocation that raced with in-flight nodes resolves here: once the
   // last running node drains and no board remains, nothing can ever place.
   if (inflight_ == 0 && all_boards_revoked_locked()) {
@@ -500,8 +494,15 @@ void AcceleratorScheduler::complete_node_locked(
   cv_.notify_all();
 }
 
+void AcceleratorScheduler::retire_drained_apps_locked() {
+  std::erase_if(apps_, [this](const std::shared_ptr<AppCtx>& app) {
+    if (app->unfinished != 0) return false;
+    finalize_app_locked(*app);
+    return true;
+  });
+}
+
 void AcceleratorScheduler::finalize_app_locked(AppCtx& app) {
-  app.finalized = true;
   AppReport report;
   report.app = app.id;
   report.cancelled = app.cancelled;
@@ -528,7 +529,7 @@ void AcceleratorScheduler::cancel(std::uint64_t app_id) {
   {
     const std::lock_guard<std::mutex> guard(lock_);
     for (const auto& app : apps_) {
-      if (app->id != app_id || app->finalized) continue;
+      if (app->id != app_id) continue;
       app->cancelled = true;
       for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
         if (app->state[i] == NodeState::Waiting ||
@@ -539,9 +540,9 @@ void AcceleratorScheduler::cancel(std::uint64_t app_id) {
           --app->unfinished;
         }
       }
-      if (app->unfinished == 0) finalize_app_locked(*app);
       break;
     }
+    retire_drained_apps_locked();
   }
   cv_.notify_all();
 }
@@ -573,7 +574,6 @@ void AcceleratorScheduler::restore_board(std::size_t i) {
 
 void AcceleratorScheduler::fail_unstarted_locked(const std::string& why) {
   for (const auto& app : apps_) {
-    if (app->finalized) continue;
     for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
       if (app->state[i] == NodeState::Waiting ||
           app->state[i] == NodeState::Ready) {
@@ -583,8 +583,8 @@ void AcceleratorScheduler::fail_unstarted_locked(const std::string& why) {
         --app->unfinished;
       }
     }
-    if (app->unfinished == 0) finalize_app_locked(*app);
   }
+  retire_drained_apps_locked();
 }
 
 DefragReport AcceleratorScheduler::defragment(std::size_t board) {
@@ -614,7 +614,6 @@ void AcceleratorScheduler::shutdown(bool drain) {
     accepting_ = false;
     if (!drain) {
       for (const auto& app : apps_) {
-        if (app->finalized) continue;
         app->cancelled = true;
         for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
           if (app->state[i] == NodeState::Waiting ||
@@ -625,17 +624,11 @@ void AcceleratorScheduler::shutdown(bool drain) {
             --app->unfinished;
           }
         }
-        if (app->unfinished == 0) finalize_app_locked(*app);
       }
+      retire_drained_apps_locked();
       cv_.notify_all();
     }
-    cv_.wait(lk, [&] {
-      if (inflight_ != 0) return false;
-      for (const auto& app : apps_) {
-        if (!app->finalized) return false;
-      }
-      return true;
-    });
+    cv_.wait(lk, [&] { return inflight_ == 0 && apps_.empty(); });
     stop_dispatcher_ = true;
   }
   cv_.notify_all();
@@ -646,6 +639,11 @@ void AcceleratorScheduler::shutdown(bool drain) {
 SchedStats AcceleratorScheduler::stats() const {
   const std::lock_guard<std::mutex> guard(lock_);
   return stats_;
+}
+
+std::size_t AcceleratorScheduler::live_apps() const {
+  const std::lock_guard<std::mutex> guard(lock_);
+  return apps_.size();
 }
 
 }  // namespace jpg::sched

@@ -167,6 +167,9 @@ class AcceleratorScheduler {
   void shutdown(bool drain = true);
 
   [[nodiscard]] SchedStats stats() const;
+  /// Registered apps whose report has not resolved yet. A finalized app is
+  /// dropped from the registry, so this returns to 0 once every app is done.
+  [[nodiscard]] std::size_t live_apps() const;
   [[nodiscard]] ReconfigService& service() { return *svc_; }
   [[nodiscard]] const SchedFixture& fixture() const { return *fixture_; }
 
@@ -182,7 +185,6 @@ class AcceleratorScheduler {
     std::vector<std::uint64_t> ready_ns;  ///< steady clock at Ready
     std::size_t unfinished = 0;
     bool cancelled = false;
-    bool finalized = false;
     std::promise<AppReport> promise;
   };
 
@@ -216,6 +218,10 @@ class AcceleratorScheduler {
   /// successors, finalizes the app when its last node resolves.
   void complete_node_locked(std::unique_lock<std::mutex>& lock,
                             const Dispatch& d, NodeResult result);
+  /// Resolves the report of every app with no unfinished node left and
+  /// drops it from apps_ — the one place an app leaves the registry, so
+  /// every scan of apps_ sees live apps only.
+  void retire_drained_apps_locked();
   void finalize_app_locked(AppCtx& app);
   /// Fails every not-yet-running node of every app (no boards left).
   void fail_unstarted_locked(const std::string& why);
@@ -223,13 +229,10 @@ class AcceleratorScheduler {
 
   const SchedFixture* fixture_;
   SchedConfig cfg_;
-  std::unique_ptr<ReconfigService> svc_;
-  /// Private pool — see SchedConfig::workers. ThreadPool::sized() caches by
-  /// width and must not be used here (aliasing with the service's pool).
-  std::shared_ptr<ThreadPool> pool_;
 
   mutable std::mutex lock_;
   std::condition_variable cv_;
+  /// Live (not yet finalized) apps in submit order.
   std::vector<std::shared_ptr<AppCtx>> apps_;
   std::vector<BoardState> boards_;
   /// variant label -> region keys a lease was created at. Advisory donor
@@ -243,7 +246,13 @@ class AcceleratorScheduler {
   bool stop_dispatcher_ = false;
   SchedStats stats_;
 
+  /// Declared after the state its completion hook touches (lock_, stats_),
+  /// so the service joins its own pool before that state is destroyed.
+  std::unique_ptr<ReconfigService> svc_;
   std::thread dispatcher_;
+  /// Node-task pool (SchedConfig::workers). Declared last so it is joined
+  /// first on destruction, before any state its tasks touch (svc_ too).
+  ThreadPool pool_;
 };
 
 }  // namespace jpg::sched

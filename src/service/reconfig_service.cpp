@@ -25,7 +25,8 @@ ReconfigService::ReconfigService(const Device& device, const ConfigMemory& base,
       base_(&base),
       cfg_(std::move(cfg)),
       gen_(base, cfg_.cache_capacity),
-      paused_(cfg_.start_paused) {
+      paused_(cfg_.start_paused),
+      pool_(cfg_.pool_width) {
   JPG_REQUIRE(&base.device() == &device,
               "service base plane targets a different device");
   JPG_REQUIRE(num_boards > 0, "a service needs at least one board");
@@ -49,9 +50,7 @@ ReconfigService::ReconfigService(const Device& device, const ConfigMemory& base,
     ctx->downloader->assume_board_state(base);
     boards_.push_back(std::move(ctx));
   }
-  pool_ = ThreadPool::sized(cfg_.pool_width);
-  max_inflight_ =
-      cfg_.max_inflight == 0 ? pool_->size() : cfg_.max_inflight;
+  max_inflight_ = cfg_.max_inflight == 0 ? pool_.size() : cfg_.max_inflight;
   JPG_GAUGE_SET("svc.boards", static_cast<std::int64_t>(num_boards));
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -318,7 +317,7 @@ void ReconfigService::dispatch_locked(Tenant& tenant, int board_idx) {
   ++stats_.dispatched;
   JPG_COUNT("svc.dispatched", 1);
   const std::uint64_t seq = dispatch_seq_++;
-  (void)pool_->submit(
+  (void)pool_.submit(
       [this, p, board_idx, seq] { execute(p, board_idx, seq); });
 }
 

@@ -8,8 +8,8 @@
 // the configured depth — the backpressure signal an open-loop client
 // observes), are scheduled across tenants by deficit round-robin (a tenant
 // flooding the queue cannot starve the others; cost is the stream size, so
-// big-region tenants don't get a free ride either), and execute on a shared
-// ThreadPool with one download in flight per board.
+// big-region tenants don't get a free ride either), and execute on the
+// service's own ThreadPool with one download in flight per board.
 //
 // The datapath reuses the existing backends end to end: pbits come from
 // PartialBitstreamGenerator::generate_leased (pinned, cache-resident — the
@@ -116,7 +116,8 @@ struct ServiceConfig {
   /// Resident leases a tenant may hold (0 = unlimited). Exceeding it
   /// releases the tenant's LRU lease (svc.quota.evictions).
   std::size_t tenant_quota = 8;
-  /// Execution pool width (ThreadPool::sized); 0 = the process-global pool.
+  /// Width of the execution pool the service owns; 0 = one worker per
+  /// hardware thread (still a pool of the service's own, never global()).
   std::size_t pool_width = 0;
   /// Concurrent executions; 0 = the pool's worker count.
   std::size_t max_inflight = 0;
@@ -351,7 +352,6 @@ class ReconfigService {
   ServiceConfig cfg_;
   PartialBitstreamGenerator gen_;
   std::vector<std::unique_ptr<BoardCtx>> boards_;
-  std::shared_ptr<ThreadPool> pool_;
   std::size_t max_inflight_ = 1;
 
   mutable std::mutex lock_;  ///< queue + tenants + boards + stats
@@ -379,6 +379,9 @@ class ReconfigService {
   std::map<std::string, std::list<std::string>> tenant_lru_;
 
   std::thread dispatcher_;
+  /// Execution pool (ServiceConfig::pool_width). Declared last so it is
+  /// joined first on destruction, before any state its tasks touch.
+  ThreadPool pool_;
 };
 
 }  // namespace jpg

@@ -5,7 +5,6 @@
 #include <exception>
 #include <memory>
 
-#include "support/error.h"
 #include "support/telemetry/telemetry.h"
 
 namespace jpg {
@@ -18,13 +17,13 @@ namespace {
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
+ThreadPool::ThreadPool(std::size_t width) {
+  if (width == 0) {
+    width = std::thread::hardware_concurrency();
+    if (width == 0) width = 1;
   }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  workers_.reserve(width);
+  for (std::size_t i = 0; i < width; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -179,94 +178,6 @@ bool ThreadPool::on_worker_thread() const noexcept {
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-namespace {
-
-/// LRU cache behind ThreadPool::sized: front of `entries` is the most
-/// recently leased pool. Leases are shared_ptrs, so an entry is idle —
-/// evictable — exactly when its use_count() is 1 (only the cache holds it).
-struct SizedPoolCache {
-  struct Entry {
-    std::size_t width = 0;
-    std::shared_ptr<ThreadPool> pool;
-  };
-  std::mutex mutex;
-  std::vector<Entry> entries;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;
-};
-
-SizedPoolCache& sized_cache() {
-  // Function-local static (not leaked): destruction at exit joins every
-  // cached pool's workers, like the pre-cap per-width map did.
-  static SizedPoolCache cache;
-  return cache;
-}
-
-}  // namespace
-
-std::shared_ptr<ThreadPool> ThreadPool::sized(std::size_t n) {
-  if (n == 0) {
-    // Non-owning lease on the process-wide pool.
-    return {&global(), [](ThreadPool*) {}};
-  }
-  SizedPoolCache& cache = sized_cache();
-  std::shared_ptr<ThreadPool> evicted;  // destroyed (joined) outside the lock
-  std::shared_ptr<ThreadPool> lease;
-  {
-    const std::lock_guard<std::mutex> lock(cache.mutex);
-    auto it = std::find_if(cache.entries.begin(), cache.entries.end(),
-                           [n](const auto& e) { return e.width == n; });
-    if (it != cache.entries.end()) {
-      ++cache.hits;
-      JPG_COUNT("pool.sized.hits", 1);
-      lease = it->pool;
-      std::rotate(cache.entries.begin(), it, it + 1);  // move to front
-    } else {
-      ++cache.misses;
-      JPG_COUNT("pool.sized.misses", 1);
-      lease = std::make_shared<ThreadPool>(n);
-      cache.entries.insert(cache.entries.begin(), {n, lease});
-      // Over the cap, drop the least-recently-leased idle pool. When every
-      // cached pool is leased out the cache runs over the cap temporarily —
-      // bounded by the number of concurrent distinct-width users — and
-      // shrinks back as leases drop and later calls evict.
-      if (cache.entries.size() > kMaxSizedPools) {
-        for (auto rit = cache.entries.rbegin(); rit != cache.entries.rend();
-             ++rit) {
-          if (rit->pool.use_count() == 1) {
-            ++cache.evictions;
-            JPG_COUNT("pool.sized.evictions", 1);
-            evicted = std::move(rit->pool);
-            cache.entries.erase(std::next(rit).base());
-            break;
-          }
-        }
-      }
-    }
-  }
-  return lease;
-}
-
-ThreadPool::SizedCacheStats ThreadPool::sized_cache_stats() {
-  SizedPoolCache& cache = sized_cache();
-  const std::lock_guard<std::mutex> lock(cache.mutex);
-  SizedCacheStats stats;
-  stats.pools = cache.entries.size();
-  for (const auto& e : cache.entries) {
-    stats.total_workers += e.pool->size();
-    if (e.pool.use_count() > 1) ++stats.leased;
-  }
-  stats.hits = cache.hits;
-  stats.misses = cache.misses;
-  stats.evictions = cache.evictions;
-  return stats;
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-  ThreadPool::global().parallel_for(n, body);
 }
 
 }  // namespace jpg

@@ -1,17 +1,17 @@
 // A small work-stealing-free thread pool with a parallel_for helper.
 //
-// jpg-cpp uses task parallelism in three places: the PathFinder router's
-// per-net path searches within an iteration, fan-out of independent module
-// flows (each region variant is an independent P&R run), and the bench
-// harness. The pool is sized to the hardware by default; on a single-core
-// host parallel_for degrades to a plain loop with no thread overhead.
+// jpg-cpp uses task parallelism in three places: the generate_batch fan-out
+// of independent region updates, the ReconfigService swap executors and the
+// AcceleratorScheduler node tasks. Each of those owns the pool it runs on
+// (generate_batch takes one from its caller). A pool is sized to the
+// hardware by default; on a single worker parallel_for degrades to a plain
+// loop with no thread overhead.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -21,8 +21,8 @@ namespace jpg {
 
 class ThreadPool {
  public:
-  /// `num_threads == 0` means std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t num_threads = 0);
+  /// `width == 0` means std::thread::hardware_concurrency().
+  explicit ThreadPool(std::size_t width = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -62,35 +62,11 @@ class ThreadPool {
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool on_worker_thread() const noexcept;
 
-  /// Shared process-wide pool (lazily constructed).
+  /// Shared process-wide pool (lazily constructed). Components that run
+  /// their own work own a pool instead (ReconfigService,
+  /// AcceleratorScheduler); this one serves callers with no owner of their
+  /// own, such as the default of PartialBitstreamGenerator::generate_batch.
   static ThreadPool& global();
-
-  /// Shared pool with exactly `n` workers, leased from a small LRU cache.
-  /// `n == 0` returns global() (the lease is non-owning). Callers that take
-  /// a thread-count knob (RouterOptions::num_threads) use this so repeated
-  /// runs at the same width reuse the same workers instead of spawning a
-  /// pool per call. The cache keeps at most kMaxSizedPools pools: when a
-  /// new width would exceed the cap, the least-recently-leased *idle* pool
-  /// (no outstanding lease) is destroyed — its workers join — so a
-  /// long-running daemon that sizes pools per request cannot leak threads
-  /// without bound. Hold the returned lease for as long as the pool is in
-  /// use; a pool with a live lease is never evicted.
-  [[nodiscard]] static std::shared_ptr<ThreadPool> sized(std::size_t n);
-
-  /// Distinct sized pools cached at once (global() is separate).
-  static constexpr std::size_t kMaxSizedPools = 4;
-
-  /// Observability for the sized-pool cache (the leak-regression sweep test
-  /// asserts total_workers stays bounded over any width sequence).
-  struct SizedCacheStats {
-    std::size_t pools = 0;          ///< cached pools right now
-    std::size_t total_workers = 0;  ///< sum of their widths
-    std::size_t leased = 0;         ///< pools with an outstanding lease
-    std::size_t hits = 0;           ///< leases served from the cache
-    std::size_t misses = 0;         ///< leases that constructed a pool
-    std::size_t evictions = 0;      ///< idle pools destroyed at the cap
-  };
-  [[nodiscard]] static SizedCacheStats sized_cache_stats();
 
  private:
   void worker_loop();
@@ -101,8 +77,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-/// Convenience wrapper over ThreadPool::global().
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace jpg

@@ -1,5 +1,5 @@
 // Determinism and audit tests for the parallel generate_batch fan-out: the
-// batch output must be byte-identical at any requested pool width (every
+// batch output must be byte-identical at any pool width (every
 // update composes against the immutable base plane and lands in its input
 // slot), and the result must honestly report the pool width it actually ran
 // on (PartialGenResult::pool_threads / workers_used) so a silent fall-back
@@ -12,6 +12,9 @@
 
 namespace jpg {
 namespace {
+
+/// Pool widths the fan-out is audited at; 1 is the sequential baseline.
+constexpr std::size_t kWidths[] = {2, 3, 4, 8};
 
 ConfigMemory noise_plane(const Device& dev, std::uint64_t seed) {
   ConfigMemory mem(dev);
@@ -44,15 +47,17 @@ TEST(BatchParallel, ByteIdenticalAcrossPoolWidthsOnXCV800) {
   }
 
   const PartialBitstreamGenerator gen(base, /*cache_capacity=*/0);
-  const auto baseline = gen.generate_batch(updates, 1);
+  ThreadPool one(1);
+  const auto baseline = gen.generate_batch(updates, one);
   ASSERT_EQ(baseline.size(), updates.size());
   for (const PartialGenResult& r : baseline) {
     EXPECT_EQ(r.pool_threads, 1u);
     EXPECT_EQ(r.workers_used, 1u);
   }
 
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    const auto res = gen.generate_batch(updates, threads);
+  for (const std::size_t threads : kWidths) {
+    ThreadPool pool(threads);
+    const auto res = gen.generate_batch(updates, pool);
     ASSERT_EQ(res.size(), updates.size()) << "threads " << threads;
     for (std::size_t i = 0; i < res.size(); ++i) {
       EXPECT_EQ(res[i].bitstream.words, baseline[i].bitstream.words)
@@ -61,7 +66,7 @@ TEST(BatchParallel, ByteIdenticalAcrossPoolWidthsOnXCV800) {
           << "update " << i << " threads " << threads;
       EXPECT_EQ(res[i].far_blocks, baseline[i].far_blocks)
           << "update " << i << " threads " << threads;
-      // Audit: the result reports the pool it was asked for, and an
+      // Audit: the result reports the pool it ran on, and an
       // observed fan-out of at least one runner, at most pool + caller.
       EXPECT_EQ(res[i].pool_threads, threads);
       EXPECT_GE(res[i].workers_used, 1u);
@@ -92,9 +97,11 @@ TEST(BatchParallel, CachedBatchStaysByteIdenticalAcrossPoolWidths) {
     (void)gen.generate(*updates[i].module_config, updates[i].region,
                        updates[i].opts);
   }
-  const auto baseline = gen.generate_batch(updates, 1);
-  for (const std::size_t threads : {4u, 8u}) {
-    const auto res = gen.generate_batch(updates, threads);
+  ThreadPool one(1);
+  const auto baseline = gen.generate_batch(updates, one);
+  for (const std::size_t threads : kWidths) {
+    ThreadPool pool(threads);
+    const auto res = gen.generate_batch(updates, pool);
     ASSERT_EQ(res.size(), baseline.size());
     for (std::size_t i = 0; i < res.size(); ++i) {
       EXPECT_EQ(res[i].bitstream.words, baseline[i].bitstream.words)

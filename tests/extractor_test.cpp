@@ -228,7 +228,7 @@ TEST_F(HandBuiltCircuit, DetectsRoutingCycle) {
 /// `needle` — the error family matters, not just "something threw".
 void expect_extract_error(const ConfigMemory& mem, const std::string& needle) {
   try {
-    extract_circuit(mem);
+    (void)extract_circuit(mem);
     FAIL() << "expected ExtractError containing '" << needle << "'";
   } catch (const ExtractError& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)

@@ -65,7 +65,7 @@ TEST_F(SimBoardTest, RebuildOnlyOnConfigChange) {
   board.step_clock(5);
   const int r1 = board.rebuilds();
   board.step_clock(5);
-  board.get_pin(pads_.at("q0"));
+  (void)board.get_pin(pads_.at("q0"));
   EXPECT_EQ(board.rebuilds(), r1);  // no config change, no rebuild
   board.send_config(bit_.words);    // full reload
   board.step_clock(1);

@@ -365,7 +365,7 @@ TEST(JpgProject, SaveLoadRoundtrip) {
   ASSERT_EQ(q.modules.size(), 2u);
   EXPECT_EQ(q.module("var_a").xdl_text, "design \"a\" XCV50 v1 ;\n");
   EXPECT_EQ(q.module("var_b").ucf_text, "# ucf b\n");
-  EXPECT_THROW(q.module("nope"), JpgError);
+  EXPECT_THROW((void)q.module("nope"), JpgError);
   EXPECT_THROW(JpgProject::load(::testing::TempDir() + "/no_such_project"),
                JpgError);
 }

@@ -9,6 +9,7 @@
 
 #include "core/partial_gen.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace jpg {
 namespace {
@@ -195,13 +196,16 @@ TEST_F(PbitLeaseTest, LeaseUnderConcurrentBatchChurn) {
       {&m3, Region{0, 14, dev_->rows() - 1, 15}, {}},
   };
 
-  for (int round = 0; round < 8; ++round) {
-    PbitLease lease = gen.generate_leased(lease_mod, lease_region);
-    std::thread releaser([&lease] { lease.release(); });
-    const auto results = gen.generate_batch(updates, 3);
-    releaser.join();
-    ASSERT_EQ(results.size(), updates.size());
-    EXPECT_FALSE(lease.valid());
+  for (const std::size_t width : {1u, 2u, 3u, 4u, 8u}) {
+    ThreadPool pool(width);
+    for (int round = 0; round < 2; ++round) {
+      PbitLease lease = gen.generate_leased(lease_mod, lease_region);
+      std::thread releaser([&lease] { lease.release(); });
+      const auto results = gen.generate_batch(updates, pool);
+      releaser.join();
+      ASSERT_EQ(results.size(), updates.size()) << "width " << width;
+      EXPECT_FALSE(lease.valid());
+    }
   }
   const PbitCacheStats stats = gen.cache_stats();
   EXPECT_EQ(stats.pinned, 0u);

@@ -1,52 +1,22 @@
-// Determinism tests for the speculative router: the routed output must be
-// byte-identical for every RouterOptions::num_threads, because each
+// Regression tests for the speculative router (DESIGN.md §5c): each
 // PathFinder round routes its wave against a frozen occupancy/history
-// snapshot and merges — with conflict detection and retry — in net order
-// (DESIGN.md §5c).
+// snapshot and merges — with conflict detection and retry — in net order,
+// so the routed bytes and the round structure are a pure function of the
+// input. The XCV50 and XCV800 work lists below are pinned to recorded
+// digests and round/retry counts; the golden corpus only reaches XCV50 and
+// XCV300, and these lists are what give the speculative merge real
+// conflicts to resolve at scale.
 #include <gtest/gtest.h>
 
-#include "netlib/generators.h"
+#include <cinttypes>
+#include <cstdio>
+#include <initializer_list>
+#include <string>
+
 #include "pnr/flow.h"
 
 namespace jpg {
 namespace {
-
-constexpr int kThreadCounts[] = {2, 4, 8};
-
-std::vector<RoutedNet> flow_routes(const Device& dev, const Netlist& nl,
-                                   std::uint64_t seed, int threads) {
-  FlowOptions opt;
-  opt.seed = seed;
-  opt.router.num_threads = threads;
-  BaseFlowResult res = run_base_flow(dev, nl, {}, opt);
-  return std::move(res.design->routes);
-}
-
-TEST(RouterParallel, FullFlowByteIdenticalAcrossThreadCounts) {
-  struct Case {
-    const char* part;
-    const char* gen;
-    int param;
-  };
-  for (const Case& c : {Case{"XCV50", "counter", 12}, Case{"XCV50", "lfsr", 8},
-                        Case{"XCV100", "adder", 8}}) {
-    const Device& dev = Device::get(c.part);
-    Netlist nl("par_test");
-    for (const auto& g : netlib::registry()) {
-      if (g.name == c.gen) nl = g.make(c.param);
-    }
-    ASSERT_GT(nl.num_cells(), 0u);
-    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-      const auto baseline = flow_routes(dev, nl, seed, 1);
-      ASSERT_FALSE(baseline.empty());
-      for (const int threads : kThreadCounts) {
-        EXPECT_EQ(flow_routes(dev, nl, seed, threads), baseline)
-            << c.gen << "/" << c.param << " on " << c.part << " seed " << seed
-            << " threads " << threads;
-      }
-    }
-  }
-}
 
 /// Spatially spread nets: slice output at (r, c) to an F1 input mux a few
 /// columns east. Disjoint bounding boxes mean round 1 usually lands every
@@ -67,7 +37,8 @@ std::vector<NetToRoute> spread_nets(const Device& dev) {
 }
 
 /// Congested nets: sources spread over the west half all targeting input
-/// muxes of one narrow column band, forcing several PathFinder iterations.
+/// muxes of one narrow column band, forcing several PathFinder iterations
+/// and real speculative conflict retries.
 std::vector<NetToRoute> congested_nets(const Device& dev) {
   const RoutingFabric& fab = dev.fabric();
   std::vector<NetToRoute> nets;
@@ -86,34 +57,7 @@ std::vector<NetToRoute> congested_nets(const Device& dev) {
   return nets;
 }
 
-TEST(RouterParallel, RouteNetsByteIdenticalAcrossThreadCounts) {
-  const Device& dev = Device::get("XCV50");
-  const RoutingGraph& g = RoutingGraph::get(dev);
-  using NetMaker = std::vector<NetToRoute> (*)(const Device&);
-  for (const NetMaker maker : {NetMaker{&spread_nets}, NetMaker{&congested_nets}}) {
-    const std::vector<NetToRoute> nets = maker(dev);
-    ASSERT_GT(nets.size(), 8u);
-    RouterOptions opt;
-    opt.num_threads = 1;
-    RouteStats base_stats;
-    const auto baseline = route_nets(g, nets, {}, opt, &base_stats);
-    EXPECT_GT(base_stats.spec_rounds, 0u);
-    for (const int threads : kThreadCounts) {
-      opt.num_threads = threads;
-      RouteStats stats;
-      EXPECT_EQ(route_nets(g, nets, {}, opt, &stats), baseline)
-          << "threads " << threads;
-      // Round structure is a pure function of the work list and the
-      // net-order merge, not of the thread count.
-      EXPECT_EQ(stats.spec_rounds, base_stats.spec_rounds);
-      EXPECT_EQ(stats.spec_retries, base_stats.spec_retries);
-      EXPECT_EQ(stats.iterations, base_stats.iterations);
-    }
-  }
-}
-
-/// FNV-1a digest of a routed result, so large-device comparisons don't
-/// hold several full route vectors alive at once.
+/// FNV-1a digest of a routed result.
 std::uint64_t route_digest(const std::vector<RoutedNet>& routes) {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
@@ -138,35 +82,58 @@ std::uint64_t route_digest(const std::vector<RoutedNet>& routes) {
   return h;
 }
 
-TEST(RouterParallel, SpeculativeDigestsIdenticalAcrossThreadCountsOnXCV800) {
-  // XCV800-class work list: hundreds of speculative searches per round,
-  // with the congested band forcing real conflict retries. The digest must
-  // be bit-identical for threads {1, 2, 4, 8} and the round/retry counts
-  // must match, proving the speculative scheduler never lets thread
-  // scheduling leak into the merge.
-  const Device& dev = Device::get("XCV800");
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+  return buf;
+}
+
+/// One pinned work list: the routed digest plus the speculative round
+/// structure it took to get there.
+struct PinnedCase {
+  const char* list;
+  std::vector<NetToRoute> (*make)(const Device&);
+  const char* digest;
+  std::size_t spec_rounds;
+  std::size_t spec_retries;
+  int iterations;
+};
+
+/// Routes each case on `part` and checks it against its recorded values.
+/// A change here means the routed bytes moved, which the golden corpus and
+/// every cached pbit depend on.
+void expect_recorded(const char* part, std::size_t min_nets,
+                     std::initializer_list<PinnedCase> cases) {
+  const Device& dev = Device::get(part);
   const RoutingGraph& g = RoutingGraph::get(dev);
-  using NetMaker = std::vector<NetToRoute> (*)(const Device&);
-  for (const NetMaker maker : {NetMaker{&spread_nets}, NetMaker{&congested_nets}}) {
-    const std::vector<NetToRoute> nets = maker(dev);
-    ASSERT_GT(nets.size(), 50u);
-    RouterOptions opt;
-    opt.num_threads = 1;
-    RouteStats base_stats;
-    const std::uint64_t baseline =
-        route_digest(route_nets(g, nets, {}, opt, &base_stats));
-    for (const int threads : kThreadCounts) {
-      opt.num_threads = threads;
-      RouteStats stats;
-      EXPECT_EQ(route_digest(route_nets(g, nets, {}, opt, &stats)), baseline)
-          << "threads " << threads;
-      EXPECT_EQ(stats.spec_rounds, base_stats.spec_rounds);
-      EXPECT_EQ(stats.spec_retries, base_stats.spec_retries);
-    }
+  for (const PinnedCase& c : cases) {
+    const std::vector<NetToRoute> nets = c.make(dev);
+    ASSERT_GT(nets.size(), min_nets) << c.list;
+    RouteStats stats;
+    const std::string digest =
+        hex16(route_digest(route_nets(g, nets, {}, {}, &stats)));
+    EXPECT_EQ(digest, c.digest) << c.list;
+    EXPECT_EQ(stats.spec_rounds, c.spec_rounds) << c.list;
+    EXPECT_EQ(stats.spec_retries, c.spec_retries) << c.list;
+    EXPECT_EQ(stats.iterations, c.iterations) << c.list;
   }
 }
 
-TEST(RouterParallel, RegionConstrainedByteIdenticalAcrossThreadCounts) {
+TEST(RouterParallel, RouteNetsMatchRecordedOnXCV50) {
+  expect_recorded("XCV50", 8u,
+                  {{"spread", &spread_nets, "daa8c3b625a3c613", 2, 32, 1},
+                   {"congested", &congested_nets, "159e2fd1bdba187c", 3, 6, 1}});
+}
+
+TEST(RouterParallel, SpeculativeDigestsMatchRecordedOnXCV800) {
+  // Hundreds of speculative searches per round, with the congested band
+  // forcing real conflict retries.
+  expect_recorded("XCV800", 50u,
+                  {{"spread", &spread_nets, "767f0fea282fbdcf", 2, 448, 1},
+                   {"congested", &congested_nets, "390ea7c0525116fe", 17, 44, 6}});
+}
+
+TEST(RouterParallel, RegionExclusionKeepsStaticNetsOutside) {
   const Device& dev = Device::get("XCV50");
   const RoutingGraph& g = RoutingGraph::get(dev);
   const Region region{0, 8, dev.rows() - 1, 15};
@@ -185,17 +152,13 @@ TEST(RouterParallel, RegionConstrainedByteIdenticalAcrossThreadCounts) {
   RouteConstraints rc;
   rc.exclude_regions.push_back(region);
 
-  RouterOptions opt;
-  opt.num_threads = 1;
-  const auto baseline = route_nets(g, nets, rc, opt);
-  for (const RoutedNet& rn : baseline) {
+  const auto routed = route_nets(g, nets, rc);
+  ASSERT_EQ(routed.size(), nets.size());
+  for (const RoutedNet& rn : routed) {
+    EXPECT_FALSE(rn.pips.empty());
     for (const RoutedPip& p : rn.pips) {
       ASSERT_FALSE(region.contains(p.tile));
     }
-  }
-  for (const int threads : kThreadCounts) {
-    opt.num_threads = threads;
-    EXPECT_EQ(route_nets(g, nets, rc, opt), baseline) << "threads " << threads;
   }
 }
 

@@ -207,6 +207,35 @@ TEST(SchedulerTest, CancelResolvesEveryNode) {
   }
 }
 
+// A finalized app leaves the registry: over a long run the dispatch scan
+// and the scheduler's memory track the live apps, not every app ever seen.
+TEST(SchedulerTest, CompletedAppsLeaveTheRegistry) {
+  AcceleratorScheduler sched(fixture());
+  EXPECT_EQ(sched.live_apps(), 0u);
+  Rng rng(5);
+  TaskGraphOptions opt;
+  opt.num_impls = fixture().impls_per_kernel();
+  opt.min_nodes = 1;
+  opt.max_nodes = 2;
+  constexpr std::size_t kApps = 200;
+  constexpr std::size_t kOutstanding = 8;
+  std::vector<AppTicket> window;
+  std::size_t completed = 0;
+  for (std::size_t i = 0; i < kApps; ++i) {
+    window.push_back(sched.submit(random_task_graph(
+        rng, fixture().kernels(), opt, "app" + std::to_string(i))));
+    EXPECT_LE(sched.live_apps(), kOutstanding);
+    if (window.size() == kOutstanding || i + 1 == kApps) {
+      for (AppTicket& t : window) completed += t.report.get().completed;
+      window.clear();
+      EXPECT_EQ(sched.live_apps(), 0u);
+    }
+  }
+  EXPECT_EQ(completed, kApps);
+  EXPECT_EQ(sched.stats().apps_completed, kApps);
+  EXPECT_EQ(sched.live_apps(), 0u);
+}
+
 TEST(SchedulerTest, RevokingAllBoardsFailsPendingWork) {
   SchedConfig cfg;
   AcceleratorScheduler sched(fixture(), cfg);

@@ -470,50 +470,6 @@ TEST(ThreadPool, NestedSubmitRunsInlineAndPropagatesExceptions) {
   pool.submit([&] { EXPECT_FALSE(other.on_worker_thread()); }).get();
 }
 
-// Regression: sized() used to cache one pool per distinct width forever, so
-// a daemon sizing pools per request leaked threads without bound. The LRU
-// cap keeps the cached worker population bounded over any width sequence.
-TEST(ThreadPool, SizedCacheStaysBoundedOverWidthSweep) {
-  const auto before = ThreadPool::sized_cache_stats();
-  constexpr std::size_t kMaxWidth = 24;
-  for (std::size_t w = 1; w <= kMaxWidth; ++w) {
-    const std::shared_ptr<ThreadPool> lease = ThreadPool::sized(w);
-    ASSERT_EQ(lease->size(), w);
-    // Use the pool so eviction is exercised against live-then-idle pools.
-    std::atomic<int> n{0};
-    lease->parallel_for(8, [&](std::size_t) { n.fetch_add(1); });
-    EXPECT_EQ(n.load(), 8);
-  }
-  const auto after = ThreadPool::sized_cache_stats();
-  EXPECT_LE(after.pools, ThreadPool::kMaxSizedPools);
-  // The cached population is at most the cap's worth of the widest pools.
-  EXPECT_LE(after.total_workers, ThreadPool::kMaxSizedPools * kMaxWidth);
-  EXPECT_GE(after.evictions, before.evictions + kMaxWidth -
-                                 ThreadPool::kMaxSizedPools);
-}
-
-TEST(ThreadPool, SizedCacheReusesPoolsAndPinsLeased) {
-  // Same width twice -> the same pool object (a cache hit, not a respawn).
-  const auto s0 = ThreadPool::sized_cache_stats();
-  const std::shared_ptr<ThreadPool> a = ThreadPool::sized(3);
-  const std::shared_ptr<ThreadPool> b = ThreadPool::sized(3);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_GE(ThreadPool::sized_cache_stats().hits, s0.hits + 1);
-
-  // A leased pool survives any amount of width churn past the cap.
-  for (std::size_t w = 30; w < 30 + 3 * ThreadPool::kMaxSizedPools; ++w) {
-    (void)ThreadPool::sized(w);
-  }
-  std::atomic<int> n{0};
-  a->parallel_for(5, [&](std::size_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 5);
-  EXPECT_EQ(a->size(), 3u);
-
-  // Width 0 leases the process-global pool without owning it.
-  const std::shared_ptr<ThreadPool> g = ThreadPool::sized(0);
-  EXPECT_EQ(g.get(), &ThreadPool::global());
-}
-
 TEST(Errors, ParseErrorCarriesLocation) {
   const ParseError e("design.xdl", 12, "unexpected token");
   EXPECT_EQ(e.file(), "design.xdl");

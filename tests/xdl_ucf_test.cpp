@@ -41,12 +41,12 @@ TEST(LutEquation, OperatorsAndPrecedence) {
 }
 
 TEST(LutEquation, RejectsGarbage) {
-  EXPECT_THROW(parse_lut_equation("A5"), JpgError);
-  EXPECT_THROW(parse_lut_equation("A1+"), JpgError);
-  EXPECT_THROW(parse_lut_equation("(A1"), JpgError);
-  EXPECT_THROW(parse_lut_equation(""), JpgError);
-  EXPECT_THROW(parse_lut_equation("A1 A2"), JpgError);
-  EXPECT_THROW(parse_lut_equation("0x10000"), JpgError);
+  EXPECT_THROW((void)parse_lut_equation("A5"), JpgError);
+  EXPECT_THROW((void)parse_lut_equation("A1+"), JpgError);
+  EXPECT_THROW((void)parse_lut_equation("(A1"), JpgError);
+  EXPECT_THROW((void)parse_lut_equation(""), JpgError);
+  EXPECT_THROW((void)parse_lut_equation("A1 A2"), JpgError);
+  EXPECT_THROW((void)parse_lut_equation("0x10000"), JpgError);
 }
 
 TEST(LutEquation, InitRoundtripExhaustive) {

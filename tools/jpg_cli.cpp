@@ -23,10 +23,10 @@
 //   jpg_cli project-new <dir> <base.bit> <name>
 //   jpg_cli project-add <dir> <name> <mod.xdl> <mod.ucf>
 //   jpg_cli project-build <dir> <outdir>         partial for every module
-//   jpg_cli pnr <part> <generator> <param> [--seed S] [--threads N] [--ref]
+//   jpg_cli pnr <part> <generator> <param> [--seed S] [--ref]
 //                                                run the P&R flow on a
-//                                                netlib design; the printed
-//                                                digest is thread-invariant
+//                                                netlib design and print
+//                                                an FNV digest of the routes
 //   jpg_cli fuzzcfg [--iterations N] [--seed S] [--device PART]
 //                                                malformed-bitstream fuzz of
 //                                                the configuration decoders
@@ -421,14 +421,11 @@ int cmd_project_build(int argc, char** argv) {
 
 int cmd_pnr(int argc, char** argv) {
   std::uint64_t seed = 1;
-  int threads = 0;
   bool ref = false;
   std::vector<std::string> pos;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--ref") == 0) {
       ref = true;
     } else {
@@ -437,8 +434,7 @@ int cmd_pnr(int argc, char** argv) {
   }
   if (pos.size() != 3) {
     throw JpgError(
-        "usage: jpg_cli pnr <part> <generator> <param> [--seed S] "
-        "[--threads N] [--ref]");
+        "usage: jpg_cli pnr <part> <generator> <param> [--seed S] [--ref]");
   }
   const Device& dev = Device::get(pos[0]);
   const netlib::GeneratorInfo* gen = nullptr;
@@ -454,13 +450,12 @@ int cmd_pnr(int argc, char** argv) {
   }
   FlowOptions opt;
   opt.seed = seed;
-  opt.router.num_threads = threads;
   opt.router.reference_impl = ref;
   const BaseFlowResult res =
       run_base_flow(dev, gen->make(std::atoi(pos[2].c_str())), {}, opt);
 
-  // FNV-1a over the routed nets, so runs at different --threads values can
-  // be diffed for byte-identity by comparing one line of output.
+  // FNV-1a over the routed nets, so two builds' routes can be diffed for
+  // byte-identity by comparing one line of output.
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
     h ^= v;

@@ -2,9 +2,9 @@
 # Build-and-test matrix for local pre-merge checking and for the nightly
 # job. Four configurations:
 #
-#   release    default flags, full fast tier          (the tier-1 gate)
+#   release    -Werror, full fast tier                (the tier-1 gate)
 #   asan       JPG_SANITIZE=address, fast + fuzz      (memory bugs)
-#   tsan       JPG_SANITIZE=thread, tsan-labelled     (threaded router)
+#   tsan       JPG_SANITIZE=thread, tsan-labelled     (pools, service, sched)
 #   telemoff   JPG_TELEMETRY=OFF, fast tier           (counters compile out)
 #   service    TSan run of the service + concurrent-stream tests, then a
 #              release JPG_BENCH_SMOKE=1 run of bench_service gated on the
@@ -22,11 +22,12 @@
 #              locality workload, zero dependency-order violations, zero
 #              admission violations, node throughput > 0. NIGHTLY=1 adds
 #              the >=500-graph-per-device scheduler oracle shards.
-#   bench      release build, JPG_BENCH_SMOKE=1 run of the parallel-core
-#              benches (router, partial gen, word kernels) plus the ICAP
-#              streaming bench; on hosts with >= 4 cores it additionally
-#              fails if the router threads sweep or the batch fan-out stops
-#              scaling (speedup < 1.5x). The streaming gates hold on any host:
+#   bench      release build, JPG_BENCH_SMOKE=1 run of the core benches
+#              (router, partial gen, word kernels) plus the ICAP streaming
+#              bench; on hosts with >= 4 cores it additionally fails if the
+#              generate_batch fan-out stops scaling (speedup < 1.5x). The
+#              router is single-threaded; its report is a smoke check. The
+#              streaming gates hold on any host:
 #              copy_bytes_per_resident_swap == 0, resident words/sec >=
 #              cold, resident ns/frame < warm-buffered ns/frame.
 #
@@ -92,16 +93,8 @@ cpus = os.cpu_count() or 1
 MIN_SPEEDUP = 1.5
 failures = []
 
-pnr = json.load(open(os.path.join(out, "BENCH_pnr.json")))
-for sec, kv in pnr.items():
-    if "route_speedup_t8" not in kv:
-        continue
-    ratio = kv["route_speedup_t8"] / kv["route_speedup_t1"]
-    print(f"  {sec}: route_speedup_t8/t1 = {ratio:.2f} "
-          f"(host_cpus={int(kv.get('host_cpus', cpus))})")
-    if cpus >= 4 and ratio < MIN_SPEEDUP:
-        failures.append(f"{sec}: router threads sweep scales {ratio:.2f}x "
-                        f"< {MIN_SPEEDUP}x on a {cpus}-core host")
+# The router has no thread axis; its report's presence is the smoke check.
+json.load(open(os.path.join(out, "BENCH_pnr.json")))
 
 pgen = json.load(open(os.path.join(out, "BENCH_partial_gen.json")))
 for sec, kv in pgen.items():
@@ -258,7 +251,7 @@ EOF
 
 for cfg in "${CONFIGS[@]}"; do
   case "$cfg" in
-    release)  run_one release  build       -DCMAKE_BUILD_TYPE=Release ;;
+    release)  run_one release  build       -DCMAKE_BUILD_TYPE=Release -DJPG_WERROR=ON ;;
     asan)     run_one asan     build-asan  -DCMAKE_BUILD_TYPE=Release -DJPG_SANITIZE=address ;;
     tsan)     run_one tsan     build-tsan  -DCMAKE_BUILD_TYPE=Release -DJPG_SANITIZE=thread ;;
     telemoff) run_one telemoff build-off   -DCMAKE_BUILD_TYPE=Release -DJPG_TELEMETRY=OFF ;;
